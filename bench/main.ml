@@ -757,70 +757,65 @@ let json_escape s =
   Buffer.contents b
 
 let bench_solver ~json ~out () =
-  header "Solver: packed integer FM, pruning, memoized queries (NAS LU)";
+  header "Solver: packed integer FM, learned contexts, memoized queries (NAS LU)";
   let files = Corpus.Nas_lu.files () in
   let lower () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
   (* throwaway run so frontend/layout paths are hot *)
   ignore (analyze_module (lower ()));
-  (* ---- end-to-end: total feasible-query wall time per solver core *)
-  let run_mode core =
-    Linear.System.set_solver_core core;
+  (* ---- end-to-end: solver counters of a whole analysis, reference mode
+     against the production core *)
+  let run_mode ~reference =
+    Linear.System.set_reference_mode reference;
     Linear.System.clear_cache ();
     let s0 = Linear.Solver_stats.snapshot () in
     let t0 = Unix.gettimeofday () in
     let res = analyze_module (lower ()) in
     let wall = Unix.gettimeofday () -. t0 in
     let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    Linear.System.set_solver_core `Learned;
+    Linear.System.set_reference_mode false;
     (res, wall, d)
   in
-  let query_ns core (d : Linear.Solver_stats.t) =
-    if core = `Reference then d.Linear.Solver_stats.wall_reference_ns
-    else d.Linear.Solver_stats.wall_fast_ns
-  in
-  let best_run core =
+  let best_run ~reference =
+    let query_ns (d : Linear.Solver_stats.t) =
+      if reference then d.Linear.Solver_stats.wall_reference_ns
+      else d.Linear.Solver_stats.wall_fast_ns + d.Linear.Solver_stats.implies_wall_ns
+    in
     let best = ref None in
     for _ = 1 to 3 do
-      let (_, _, d) as r = run_mode core in
+      let (_, _, d) as r = run_mode ~reference in
       match !best with
-      | Some (_, _, d') when query_ns core d' <= query_ns core d -> ()
+      | Some (_, _, d') when query_ns d' <= query_ns d -> ()
       | _ -> best := Some r
     done;
     Option.get !best
   in
-  let _, wall_ref, d_ref = best_run `Reference in
-  let _, wall_fast, d_fast = best_run `Packed in
-  let res, wall_learned, d_learned = best_run `Learned in
+  let _, wall_ref, d_ref = best_run ~reference:true in
+  let res, wall_prod, d = best_run ~reference:false in
   let open Linear.Solver_stats in
-  let ref_ns = d_ref.wall_reference_ns and fast_ns = d_fast.wall_fast_ns in
-  let learned_ns = d_learned.wall_fast_ns in
-  let speedup = float_of_int ref_ns /. float_of_int (max 1 fast_ns) in
   Printf.printf
-    "end-to-end (feasible queries): reference %d queries %.3f ms, packed %d \
-     queries %.3f ms => %.1fx, learned %d queries %.3f ms\n"
+    "end-to-end: reference %d feasible queries %.3f ms (%.4fs analysis); \
+     production %d feasible queries %.3f ms, %d implies queries %.3f ms \
+     (%.4fs analysis)\n"
     d_ref.queries
-    (float_of_int ref_ns /. 1e6)
-    d_fast.queries
-    (float_of_int fast_ns /. 1e6)
-    speedup d_learned.queries
-    (float_of_int learned_ns /. 1e6);
+    (float_of_int d_ref.wall_reference_ns /. 1e6)
+    wall_ref d.queries
+    (float_of_int d.wall_fast_ns /. 1e6)
+    d.implies_queries
+    (float_of_int d.implies_wall_ns /. 1e6)
+    wall_prod;
   Printf.printf
-    "fast-path breakdown: %d cache hit / %d miss, %d box-refuted, %d \
+    "production breakdown: %d cache hit / %d miss, %d box-refuted, %d \
      syntactic, %d FM runs (%d rows built, %d pruned), fallbacks: %d \
      tighten / %d overflow; small path: %d\n"
-    d_fast.cache_hits d_fast.cache_misses d_fast.box_refutations
-    d_fast.syntactic_hits d_fast.fm_runs d_fast.fm_rows_built
-    d_fast.fm_rows_pruned d_fast.tighten_fallbacks d_fast.overflow_fallbacks
-    d_fast.small_runs;
+    d.cache_hits d.cache_misses d.box_refutations d.syntactic_hits d.fm_runs
+    d.fm_rows_built d.fm_rows_pruned d.tighten_fallbacks d.overflow_fallbacks
+    d.small_runs;
   Printf.printf
-    "learned core: %d contexts, %d cut hits, %d bound hits, %d proj hits, \
-     %d elims, %d reorders, %d L1 hits\n"
-    d_learned.ctx_contexts d_learned.ctx_cut_hits d_learned.ctx_bound_hits
-    d_learned.ctx_proj_hits d_learned.ctx_elims
-    d_learned.ctx_activity_reorders d_learned.implies_l1_hits;
-  Printf.printf "analysis wall: reference %.4fs, packed %.4fs, learned %.4fs\n"
-    wall_ref wall_fast wall_learned;
-  (* ---- micro: harvested region systems through each query, each mode *)
+    "learned contexts: %d contexts, %d cut hits, %d bound hits, %d proj \
+     hits, %d elims, %d reorders, %d L1 hits\n"
+    d.ctx_contexts d.ctx_cut_hits d.ctx_bound_hits d.ctx_proj_hits d.ctx_elims
+    d.ctx_activity_reorders d.implies_l1_hits;
+  (* ---- micro: harvested region systems through each query *)
   let systems =
     List.concat_map
       (fun (_, info) ->
@@ -843,14 +838,16 @@ let bench_solver ~json ~out () =
     done;
     Unix.gettimeofday () -. t0
   in
-  let timed_mode ~core ~cache f =
-    Linear.System.set_solver_core core;
-    Linear.System.set_cache_enabled cache;
+  (* [reference] routes every query through the exact eliminator with the
+     memos off; otherwise the production path runs, memos included *)
+  let timed_mode ~reference f =
+    Linear.System.set_reference_mode reference;
+    Linear.System.set_cache_enabled (not reference);
     Linear.System.clear_cache ();
     let s0 = Linear.Solver_stats.snapshot () in
     let t = wall f in
     let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    Linear.System.set_solver_core `Learned;
+    Linear.System.set_reference_mode false;
     Linear.System.set_cache_enabled true;
     (t, d)
   in
@@ -874,29 +871,21 @@ let bench_solver ~json ~out () =
         ignore (Linear.System.project_onto keep s))
       systems
   in
-  let feas_reference, _ = timed_mode ~core:`Reference ~cache:false feas_run in
-  let feas_packed, d_feas_packed =
-    timed_mode ~core:`Packed ~cache:false feas_run
-  in
-  let feas_memo, _ = timed_mode ~core:`Packed ~cache:true feas_run in
-  let impl_reference, _ = timed_mode ~core:`Reference ~cache:false impl_run in
-  let impl_fast, _ = timed_mode ~core:`Packed ~cache:true impl_run in
-  let impl_learned, d_impl_learned =
-    timed_mode ~core:`Learned ~cache:true impl_run
-  in
-  let proj, _ = timed_mode ~core:`Learned ~cache:true proj_run in
-  let small_runs = d_feas_packed.small_runs in
+  let feas_reference, _ = timed_mode ~reference:true feas_run in
+  let feas, d_feas = timed_mode ~reference:false feas_run in
+  let impl_reference, _ = timed_mode ~reference:true impl_run in
+  let impl, d_impl = timed_mode ~reference:false impl_run in
+  let proj, _ = timed_mode ~reference:false proj_run in
+  let speedup = feas_reference /. Float.max feas 1e-9 in
   Printf.printf
     "micro (%d systems x %d passes):\n\
-    \  feasible: reference %.4fs, packed %.4fs (%d small-path), packed+memo \
-     %.4fs\n\
-    \  implies:  reference %.4fs, packed %.4fs, learned %.4fs (%d cut hits, \
-     %d bound hits, %d L1 hits)\n\
+    \  feasible: reference %.4fs, production %.4fs (%d small-path) => %.1fx\n\
+    \  implies:  reference %.4fs, production %.4fs (%d cut hits, %d bound \
+     hits, %d L1 hits)\n\
     \  project:  %.4fs (exact eliminator, context-memoized)\n"
-    (List.length systems) passes feas_reference feas_packed small_runs
-    feas_memo impl_reference impl_fast impl_learned
-    d_impl_learned.ctx_cut_hits d_impl_learned.ctx_bound_hits
-    d_impl_learned.implies_l1_hits proj;
+    (List.length systems) passes feas_reference feas d_feas.small_runs speedup
+    impl_reference impl d_impl.ctx_cut_hits d_impl.ctx_bound_hits
+    d_impl.implies_l1_hits proj;
   (* ---- machine-readable record *)
   if json || out <> None then begin
     let path = Option.value out ~default:"BENCH_solver.json" in
@@ -909,52 +898,45 @@ let bench_solver ~json ~out () =
     bpf "    \"end_to_end\": {\n";
     bpf "      \"reference\": {\n";
     bpf "        \"feasible_queries\": %d,\n" d_ref.queries;
-    bpf "        \"feasible_wall_ns\": %d,\n" ref_ns;
+    bpf "        \"feasible_wall_ns\": %d,\n" d_ref.wall_reference_ns;
     bpf "        \"analysis_wall_s\": %.6f\n" wall_ref;
     bpf "      },\n";
-    bpf "      \"fast\": {\n";
-    bpf "        \"feasible_queries\": %d,\n" d_fast.queries;
-    bpf "        \"feasible_wall_ns\": %d,\n" fast_ns;
-    bpf "        \"analysis_wall_s\": %.6f,\n" wall_fast;
-    bpf "        \"cache_hits\": %d,\n" d_fast.cache_hits;
-    bpf "        \"cache_misses\": %d,\n" d_fast.cache_misses;
-    bpf "        \"box_refutations\": %d,\n" d_fast.box_refutations;
-    bpf "        \"syntactic_hits\": %d,\n" d_fast.syntactic_hits;
-    bpf "        \"fm_runs\": %d,\n" d_fast.fm_runs;
-    bpf "        \"fm_rows_built\": %d,\n" d_fast.fm_rows_built;
-    bpf "        \"fm_rows_pruned\": %d,\n" d_fast.fm_rows_pruned;
-    bpf "        \"tighten_fallbacks\": %d,\n" d_fast.tighten_fallbacks;
-    bpf "        \"overflow_fallbacks\": %d,\n" d_fast.overflow_fallbacks;
-    bpf "        \"small_runs\": %d\n" d_fast.small_runs;
-    bpf "      },\n";
-    bpf "      \"learned\": {\n";
-    bpf "        \"feasible_queries\": %d,\n" d_learned.queries;
-    bpf "        \"feasible_wall_ns\": %d,\n" learned_ns;
-    bpf "        \"analysis_wall_s\": %.6f,\n" wall_learned;
-    bpf "        \"small_runs\": %d,\n" d_learned.small_runs;
-    bpf "        \"implies_l1_hits\": %d,\n" d_learned.implies_l1_hits;
-    bpf "        \"ctx_contexts\": %d,\n" d_learned.ctx_contexts;
-    bpf "        \"ctx_cut_hits\": %d,\n" d_learned.ctx_cut_hits;
-    bpf "        \"ctx_bound_hits\": %d,\n" d_learned.ctx_bound_hits;
-    bpf "        \"ctx_proj_hits\": %d,\n" d_learned.ctx_proj_hits;
-    bpf "        \"ctx_elims\": %d,\n" d_learned.ctx_elims;
-    bpf "        \"ctx_activity_reorders\": %d\n"
-      d_learned.ctx_activity_reorders;
-    bpf "      },\n";
-    bpf "      \"feasible_speedup\": %.2f,\n" speedup;
-    bpf "      \"feasible_speedup_floor\": %.2f\n" 2.0;
+    bpf "      \"production\": {\n";
+    bpf "        \"feasible_queries\": %d,\n" d.queries;
+    bpf "        \"feasible_wall_ns\": %d,\n" d.wall_fast_ns;
+    bpf "        \"implies_queries\": %d,\n" d.implies_queries;
+    bpf "        \"implies_wall_ns\": %d,\n" d.implies_wall_ns;
+    bpf "        \"analysis_wall_s\": %.6f,\n" wall_prod;
+    bpf "        \"cache_hits\": %d,\n" d.cache_hits;
+    bpf "        \"cache_misses\": %d,\n" d.cache_misses;
+    bpf "        \"box_refutations\": %d,\n" d.box_refutations;
+    bpf "        \"syntactic_hits\": %d,\n" d.syntactic_hits;
+    bpf "        \"fm_runs\": %d,\n" d.fm_runs;
+    bpf "        \"fm_rows_built\": %d,\n" d.fm_rows_built;
+    bpf "        \"fm_rows_pruned\": %d,\n" d.fm_rows_pruned;
+    bpf "        \"tighten_fallbacks\": %d,\n" d.tighten_fallbacks;
+    bpf "        \"overflow_fallbacks\": %d,\n" d.overflow_fallbacks;
+    bpf "        \"small_runs\": %d,\n" d.small_runs;
+    bpf "        \"implies_l1_hits\": %d,\n" d.implies_l1_hits;
+    bpf "        \"ctx_contexts\": %d,\n" d.ctx_contexts;
+    bpf "        \"ctx_cut_hits\": %d,\n" d.ctx_cut_hits;
+    bpf "        \"ctx_bound_hits\": %d,\n" d.ctx_bound_hits;
+    bpf "        \"ctx_proj_hits\": %d,\n" d.ctx_proj_hits;
+    bpf "        \"ctx_elims\": %d,\n" d.ctx_elims;
+    bpf "        \"ctx_activity_reorders\": %d\n" d.ctx_activity_reorders;
+    bpf "      }\n";
     bpf "    },\n";
     bpf "    \"micro\": {\n";
     bpf "      \"systems\": %d,\n" (List.length systems);
     bpf "      \"passes\": %d,\n" passes;
     bpf "      \"feasible_reference_s\": %.6f,\n" feas_reference;
-    bpf "      \"feasible_packed_s\": %.6f,\n" feas_packed;
-    bpf "      \"feasible_memo_s\": %.6f,\n" feas_memo;
-    bpf "      \"small_runs\": %d,\n" small_runs;
+    bpf "      \"feasible_s\": %.6f,\n" feas;
+    bpf "      \"small_runs\": %d,\n" d_feas.small_runs;
     bpf "      \"implies_reference_s\": %.6f,\n" impl_reference;
-    bpf "      \"implies_fast_s\": %.6f,\n" impl_fast;
-    bpf "      \"implies_learned_s\": %.6f,\n" impl_learned;
-    bpf "      \"project_s\": %.6f\n" proj;
+    bpf "      \"implies_s\": %.6f,\n" impl;
+    bpf "      \"project_s\": %.6f,\n" proj;
+    bpf "      \"feasible_speedup\": %.2f,\n" speedup;
+    bpf "      \"feasible_speedup_floor\": %.2f\n" 2.0;
     bpf "    }\n";
     bpf "  }\n";
     bpf "}\n";
@@ -1150,14 +1132,10 @@ let bench_gen ~json ~out () =
    implies memo) against the pre-interning reference fold, on the joins
    the NAS LU summary construction actually performs *)
 
-let bench_regions ~json ~out () =
-  header "Regions: interned terms, n-way joins, implies memo (NAS LU)";
-  let files = Corpus.Nas_lu.files () in
-  let lower () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
-  let res = analyze_module (lower ()) in
-  (* join workload: every (procedure, array, mode) bucket of harvested
-     access regions with at least two members — the groups the summary
-     layer unions (and collapses past the per-slot cap) *)
+(* Every (procedure, array, mode) bucket of harvested access regions with
+   at least two members — the groups the summary layer unions (and
+   collapses past the per-slot cap) — in first-seen order. *)
+let join_buckets (res : Ipa.Analyze.result) =
   let groups : (string * int * Regions.Mode.t, Regions.Region.t list) Hashtbl.t
       =
     Hashtbl.create 64
@@ -1176,31 +1154,33 @@ let bench_regions ~json ~out () =
             Hashtbl.replace groups k (a.Ipa.Collect.ac_region :: rs))
         info.Ipa.Collect.p_accesses)
     res.Ipa.Analyze.r_infos;
-  let buckets =
-    List.filter_map
-      (fun k ->
-        match Hashtbl.find groups k with
-        | [] | [ _ ] -> None
-        | rs -> Some (List.rev rs))
-      (List.rev !order)
-  in
+  List.filter_map
+    (fun k ->
+      match Hashtbl.find groups k with
+      | [] | [ _ ] -> None
+      | rs -> Some (List.rev rs))
+    (List.rev !order)
+
+let bench_regions ~json ~out () =
+  header "Regions: interned terms, n-way joins, implies memo (NAS LU)";
+  let files = Corpus.Nas_lu.files () in
+  let lower () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
+  let buckets = join_buckets (analyze_module (lower ())) in
   let total_regions = List.fold_left (fun a rs -> a + List.length rs) 0 buckets in
   let passes = 5 in
-  let fold_joins () =
+  (* the reference: a left fold of the short-circuit-free join with the
+     solver memos off, as the pre-interning join path ran *)
+  let reference_joins () =
     List.map
       (fun rs ->
-        List.fold_left Regions.Region.union_approx (List.hd rs) (List.tl rs))
+        List.fold_left Regions.Region.Reference.union_approx (List.hd rs)
+          (List.tl rs))
       buckets
   in
   let many_joins () = List.map Regions.Region.union_many buckets in
-  let set_mode fast =
-    Regions.Region.set_fast_join fast;
-    Linear.System.set_implies_memo_enabled fast
-  in
   let cget name = Obs.Metrics.Counter.get (Obs.Metrics.counter name) in
-  let run_mode ~fast ~core f =
-    set_mode fast;
-    Linear.System.set_solver_core core;
+  let run_mode ~cache f =
+    Linear.System.set_cache_enabled cache;
     Linear.System.clear_cache ();
     let s0 = Linear.Solver_stats.snapshot () in
     let u0 = cget "regions.union.calls" in
@@ -1218,37 +1198,24 @@ let bench_regions ~json ~out () =
         cget "regions.union_many.calls" - m0,
         cget "regions.union.implies_saved" - sv0 )
     in
-    set_mode true;
-    Linear.System.set_solver_core `Learned;
+    Linear.System.set_cache_enabled true;
     (!r, wall, d, counters)
   in
-  let ref_res, ref_wall, d_ref, _ =
-    run_mode ~fast:false ~core:`Packed fold_joins
-  in
-  let fast_res, fast_wall, d_fast, (unions, many, saved) =
-    run_mode ~fast:true ~core:`Packed many_joins
-  in
-  let learned_res, learned_wall, d_learned, _ =
-    run_mode ~fast:true ~core:`Learned many_joins
-  in
-  (* the knobs trade nothing for speed: every path must build the very
-     same regions (interning makes that one id comparison per system) *)
-  let same =
+  let ref_res, ref_wall, d_ref, _ = run_mode ~cache:false reference_joins in
+  let res, wall, d, (unions, many, saved) = run_mode ~cache:true many_joins in
+  (* the fast path trades nothing for speed: it must build the very same
+     regions (interning makes that one id comparison per system) *)
+  let identical =
     List.for_all2
       (fun (a : Regions.Region.t) (b : Regions.Region.t) ->
         Regions.Region.equal_display a b
         && Linear.System.equal a.Regions.Region.sys b.Regions.Region.sys
         && a.Regions.Region.exact = b.Regions.Region.exact)
+      ref_res res
   in
-  let identical = same ref_res fast_res && same fast_res learned_res in
   let open Linear.Solver_stats in
   let speedup =
-    float_of_int d_ref.implies_wall_ns
-    /. float_of_int (max 1 d_fast.implies_wall_ns)
-  in
-  let learned_speedup =
-    float_of_int d_fast.implies_wall_ns
-    /. float_of_int (max 1 d_learned.implies_wall_ns)
+    float_of_int d_ref.implies_wall_ns /. float_of_int (max 1 d.implies_wall_ns)
   in
   Printf.printf
     "join workload: %d buckets, %d regions, %d passes\n"
@@ -1259,52 +1226,30 @@ let bench_regions ~json ~out () =
     (float_of_int d_ref.implies_wall_ns /. 1e6)
     ref_wall;
   Printf.printf
-    "packed fast:    %d implies queries (%d memo hits, %d saved by interned \
-     ids), %.3f ms implies wall (%.4fs total) => %.1fx%s\n"
-    d_fast.implies_queries d_fast.implies_memo_hits saved
-    (float_of_int d_fast.implies_wall_ns /. 1e6)
-    fast_wall speedup
+    "production:     %d implies queries (%d memo hits, %d L1 hits, %d saved \
+     by interned ids; %d cut hits, %d bound hits, %d elims, %d reorders), \
+     %.3f ms implies wall (%.4fs total) => %.1fx%s\n"
+    d.implies_queries d.implies_memo_hits d.implies_l1_hits saved
+    d.ctx_cut_hits d.ctx_bound_hits d.ctx_elims d.ctx_activity_reorders
+    (float_of_int d.implies_wall_ns /. 1e6)
+    wall speedup
     (if speedup >= 2. then "" else "  (< 2x!)");
-  Printf.printf
-    "learned core:   %d implies queries (%d memo hits, %d L1 hits; %d cut \
-     hits, %d bound hits, %d elims, %d reorders), %.3f ms implies wall \
-     (%.4fs total) => %.1fx over packed%s\n"
-    d_learned.implies_queries d_learned.implies_memo_hits
-    d_learned.implies_l1_hits d_learned.ctx_cut_hits d_learned.ctx_bound_hits
-    d_learned.ctx_elims d_learned.ctx_activity_reorders
-    (float_of_int d_learned.implies_wall_ns /. 1e6)
-    learned_wall learned_speedup
-    (if learned_speedup >= 2. then "" else "  (< 2x!)");
   Printf.printf "union_approx calls: %d via %d union_many; results %s\n" unions
     many
     (if identical then "identical" else "DIFFER");
-  (* ---- end-to-end: whole NAS LU analysis under each join path/core *)
-  let run_analysis ~fast ~core =
-    set_mode fast;
-    Linear.System.set_solver_core core;
-    Linear.System.clear_cache ();
-    let s0 = Linear.Solver_stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    ignore (analyze_module (lower ()));
-    let wall = Unix.gettimeofday () -. t0 in
-    let d = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
-    set_mode true;
-    Linear.System.set_solver_core `Learned;
-    (wall, d)
-  in
-  let e2e_ref_wall, e2e_ref = run_analysis ~fast:false ~core:`Packed in
-  let e2e_fast_wall, e2e_fast = run_analysis ~fast:true ~core:`Packed in
-  let e2e_learned_wall, e2e_learned = run_analysis ~fast:true ~core:`Learned in
+  (* ---- end-to-end: the whole NAS LU analysis on the production path *)
+  Linear.System.clear_cache ();
+  let s0 = Linear.Solver_stats.snapshot () in
+  let t0 = Unix.gettimeofday () in
+  ignore (analyze_module (lower ()));
+  let e2e_wall = Unix.gettimeofday () -. t0 in
+  let e2e = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
   Printf.printf
-    "end-to-end: reference %d implies queries %.3f ms (%.4fs), packed %d \
-     queries %.3f ms (%.4fs), learned %d queries %.3f ms (%.4fs)\n"
-    e2e_ref.implies_queries
-    (float_of_int e2e_ref.implies_wall_ns /. 1e6)
-    e2e_ref_wall e2e_fast.implies_queries
-    (float_of_int e2e_fast.implies_wall_ns /. 1e6)
-    e2e_fast_wall e2e_learned.implies_queries
-    (float_of_int e2e_learned.implies_wall_ns /. 1e6)
-    e2e_learned_wall;
+    "end-to-end: %d implies queries (%d memo hits, %d L1 hits) %.3f ms \
+     (%.4fs)\n"
+    e2e.implies_queries e2e.implies_memo_hits e2e.implies_l1_hits
+    (float_of_int e2e.implies_wall_ns /. 1e6)
+    e2e_wall;
   (* ---- interner effectiveness (process lifetime: tables never drop) *)
   let intern name =
     let h = cget (Printf.sprintf "linear.intern.%s.hits" name) in
@@ -1337,56 +1282,33 @@ let bench_regions ~json ~out () =
     bpf "        \"implies_wall_ns\": %d,\n" d_ref.implies_wall_ns;
     bpf "        \"wall_s\": %.6f\n" ref_wall;
     bpf "      },\n";
-    bpf "      \"fast\": {\n";
-    bpf "        \"implies_queries\": %d,\n" d_fast.implies_queries;
-    bpf "        \"implies_memo_hits\": %d,\n" d_fast.implies_memo_hits;
-    bpf "        \"implies_wall_ns\": %d,\n" d_fast.implies_wall_ns;
+    bpf "      \"production\": {\n";
+    bpf "        \"implies_queries\": %d,\n" d.implies_queries;
+    bpf "        \"implies_memo_hits\": %d,\n" d.implies_memo_hits;
+    bpf "        \"implies_l1_hits\": %d,\n" d.implies_l1_hits;
+    bpf "        \"implies_wall_ns\": %d,\n" d.implies_wall_ns;
     bpf "        \"implies_saved\": %d,\n" saved;
     bpf "        \"union_calls\": %d,\n" unions;
     bpf "        \"union_many_calls\": %d,\n" many;
-    bpf "        \"wall_s\": %.6f\n" fast_wall;
-    bpf "      },\n";
-    bpf "      \"learned\": {\n";
-    bpf "        \"implies_queries\": %d,\n" d_learned.implies_queries;
-    bpf "        \"implies_memo_hits\": %d,\n" d_learned.implies_memo_hits;
-    bpf "        \"implies_l1_hits\": %d,\n" d_learned.implies_l1_hits;
-    bpf "        \"implies_wall_ns\": %d,\n" d_learned.implies_wall_ns;
-    bpf "        \"ctx_contexts\": %d,\n" d_learned.ctx_contexts;
-    bpf "        \"ctx_cut_hits\": %d,\n" d_learned.ctx_cut_hits;
-    bpf "        \"ctx_bound_hits\": %d,\n" d_learned.ctx_bound_hits;
-    bpf "        \"ctx_proj_hits\": %d,\n" d_learned.ctx_proj_hits;
-    bpf "        \"ctx_elims\": %d,\n" d_learned.ctx_elims;
-    bpf "        \"ctx_activity_reorders\": %d,\n"
-      d_learned.ctx_activity_reorders;
-    bpf "        \"wall_s\": %.6f\n" learned_wall;
+    bpf "        \"ctx_contexts\": %d,\n" d.ctx_contexts;
+    bpf "        \"ctx_cut_hits\": %d,\n" d.ctx_cut_hits;
+    bpf "        \"ctx_bound_hits\": %d,\n" d.ctx_bound_hits;
+    bpf "        \"ctx_proj_hits\": %d,\n" d.ctx_proj_hits;
+    bpf "        \"ctx_elims\": %d,\n" d.ctx_elims;
+    bpf "        \"ctx_activity_reorders\": %d,\n" d.ctx_activity_reorders;
+    bpf "        \"wall_s\": %.6f\n" wall;
     bpf "      },\n";
     bpf "      \"implies_speedup\": %.2f,\n" speedup;
     bpf "      \"implies_speedup_floor\": %.2f,\n" 2.0;
-    bpf "      \"learned_speedup\": %.2f,\n" learned_speedup;
-    bpf "      \"learned_speedup_floor\": %.2f,\n" 2.0;
     bpf "      \"speedup_ok\": %b,\n" (speedup >= 2.);
-    bpf "      \"learned_speedup_ok\": %b,\n" (learned_speedup >= 2.);
     bpf "      \"identical\": %b\n" identical;
     bpf "    },\n";
     bpf "    \"end_to_end\": {\n";
-    bpf "      \"reference\": {\n";
-    bpf "        \"implies_queries\": %d,\n" e2e_ref.implies_queries;
-    bpf "        \"implies_wall_ns\": %d,\n" e2e_ref.implies_wall_ns;
-    bpf "        \"analysis_wall_s\": %.6f\n" e2e_ref_wall;
-    bpf "      },\n";
-    bpf "      \"fast\": {\n";
-    bpf "        \"implies_queries\": %d,\n" e2e_fast.implies_queries;
-    bpf "        \"implies_memo_hits\": %d,\n" e2e_fast.implies_memo_hits;
-    bpf "        \"implies_wall_ns\": %d,\n" e2e_fast.implies_wall_ns;
-    bpf "        \"analysis_wall_s\": %.6f\n" e2e_fast_wall;
-    bpf "      },\n";
-    bpf "      \"learned\": {\n";
-    bpf "        \"implies_queries\": %d,\n" e2e_learned.implies_queries;
-    bpf "        \"implies_memo_hits\": %d,\n" e2e_learned.implies_memo_hits;
-    bpf "        \"implies_l1_hits\": %d,\n" e2e_learned.implies_l1_hits;
-    bpf "        \"implies_wall_ns\": %d,\n" e2e_learned.implies_wall_ns;
-    bpf "        \"analysis_wall_s\": %.6f\n" e2e_learned_wall;
-    bpf "      }\n";
+    bpf "      \"implies_queries\": %d,\n" e2e.implies_queries;
+    bpf "      \"implies_memo_hits\": %d,\n" e2e.implies_memo_hits;
+    bpf "      \"implies_l1_hits\": %d,\n" e2e.implies_l1_hits;
+    bpf "      \"implies_wall_ns\": %d,\n" e2e.implies_wall_ns;
+    bpf "      \"analysis_wall_s\": %.6f\n" e2e_wall;
     bpf "    },\n";
     bpf "    \"intern\": {\n";
     bpf "      \"expr\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f },\n"
@@ -1432,27 +1354,30 @@ let check_gate obj ~where name =
     check_fail "%s.%s %.2f regressed below floor %.2f" where name v floor;
   (v, floor)
 
+let check_fields obj ~where fields =
+  List.iter
+    (fun field ->
+      match Option.bind (Obs.Json.member field obj) Obs.Json.to_float with
+      | Some _ -> ()
+      | None -> check_fail "%s.%s missing" where field)
+    fields
+
 let check_solver_json path doc =
   match Obs.Json.member "end_to_end" doc, Obs.Json.member "micro" doc with
   | Some (Obs.Json.Obj _ as e2e), Some (Obs.Json.Obj _ as micro) ->
-    (match Obs.Json.member "learned" e2e with
-    | Some (Obs.Json.Obj _ as l) ->
-      List.iter
-        (fun field ->
-          match Option.bind (Obs.Json.member field l) Obs.Json.to_float with
-          | Some _ -> ()
-          | None -> check_fail "solver.end_to_end.learned.%s missing" field)
+    (match Obs.Json.member "production" e2e with
+    | Some (Obs.Json.Obj _ as p) ->
+      check_fields p ~where:"solver.end_to_end.production"
         [
-          "feasible_wall_ns"; "small_runs"; "implies_l1_hits"; "ctx_contexts";
-          "ctx_cut_hits"; "ctx_bound_hits"; "ctx_proj_hits"; "ctx_elims";
-          "ctx_activity_reorders";
+          "feasible_wall_ns"; "implies_wall_ns"; "small_runs";
+          "implies_l1_hits"; "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits";
+          "ctx_proj_hits"; "ctx_elims"; "ctx_activity_reorders";
         ]
-    | _ -> check_fail "solver.end_to_end.learned missing");
-    (match Option.bind (Obs.Json.member "implies_learned_s" micro) Obs.Json.to_float with
-    | Some _ -> ()
-    | None -> check_fail "solver.micro.implies_learned_s missing");
+    | _ -> check_fail "solver.end_to_end.production missing");
+    check_fields micro ~where:"solver.micro"
+      [ "feasible_reference_s"; "feasible_s"; "implies_s" ];
     let speedup, floor =
-      check_gate e2e ~where:"solver.end_to_end" "feasible_speedup"
+      check_gate micro ~where:"solver.micro" "feasible_speedup"
     in
     Printf.printf
       "check-json: %s OK (solver section; feasible_speedup %.2f >= floor \
@@ -1471,25 +1396,19 @@ let check_regions_json path doc =
     (match Obs.Json.member "identical" join with
     | Some (Obs.Json.Bool true) -> ()
     | _ -> check_fail "regions.join.identical is not true");
-    (match Obs.Json.member "learned" join with
-    | Some (Obs.Json.Obj _ as l) ->
-      List.iter
-        (fun field ->
-          match Option.bind (Obs.Json.member field l) Obs.Json.to_float with
-          | Some _ -> ()
-          | None -> check_fail "regions.join.learned.%s missing" field)
+    (match Obs.Json.member "production" join with
+    | Some (Obs.Json.Obj _ as p) ->
+      check_fields p ~where:"regions.join.production"
         [
           "implies_queries"; "implies_memo_hits"; "implies_l1_hits";
           "implies_wall_ns"; "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits";
           "ctx_elims"; "ctx_activity_reorders";
         ]
-    | _ -> check_fail "regions.join.learned missing");
+    | _ -> check_fail "regions.join.production missing");
     let sp, spf = check_gate join ~where:"regions.join" "implies_speedup" in
-    let lsp, lspf = check_gate join ~where:"regions.join" "learned_speedup" in
     Printf.printf
-      "check-json: %s OK (regions; implies_speedup %.2f >= floor %.2f, \
-       learned_speedup %.2f >= floor %.2f)\n"
-      path sp spf lsp lspf
+      "check-json: %s OK (regions; implies_speedup %.2f >= floor %.2f)\n" path
+      sp spf
   | _ -> check_fail "regions.join / regions.end_to_end / regions.intern missing"
 
 let check_trace_json path raw =
@@ -1828,31 +1747,6 @@ let check_ledger_jsonl path raw =
   Printf.printf "check-json: %s OK (ledger, %d record(s))\n" path
     (List.length lines)
 
-let check_shard_json path top doc =
-  check_schema_version ~what:"shard" ~expected:Analyses.Report.schema_version
-    top;
-  let identical, _ = check_gate doc ~where:"shard" "identical" in
-  if identical < 1. then
-    check_fail "shard.identical: some topology produced different output";
-  ignore (check_gate doc ~where:"shard" "warm_hit_rate");
-  let measured, _ = check_gate doc ~where:"shard" "topologies_measured" in
-  (match Obs.Json.member "topologies" doc with
-  | Some (Obs.Json.List entries) ->
-    if List.length entries <> int_of_float measured then
-      check_fail "shard.topologies length disagrees with topologies_measured";
-    List.iter
-      (fun e ->
-        List.iter
-          (fun field ->
-            match Option.bind (Obs.Json.member field e) Obs.Json.to_float with
-            | Some _ -> ()
-            | None -> check_fail "shard.topologies[].%s missing" field)
-          [ "workers"; "wall_s"; "spawned"; "tasks"; "steals" ])
-      entries
-  | _ -> check_fail "shard.topologies missing");
-  Printf.printf "check-json: %s OK (shard, %d topologies)\n" path
-    (int_of_float measured)
-
 let check_json_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -1899,14 +1793,13 @@ let check_json_file path =
             ~expected:Fault.Diag.schema_version v;
           check_diagnostics_json path entries
         | _ -> (
-          match (Obs.Json.member "gen" v, Obs.Json.member "shard" v) with
-          | Some (Obs.Json.Obj _ as doc), _ -> check_gen_json path v doc
-          | _, Some (Obs.Json.Obj _ as doc) -> check_shard_json path v doc
+          match Obs.Json.member "gen" v with
+          | Some (Obs.Json.Obj _ as doc) -> check_gen_json path v doc
           | _ ->
             check_fail
               "no recognized top-level section \
-               (solver/regions/traceEvents/metrics/obs/bounds/gen/shard/\
-               reports/diagnostics)"))
+               (solver/regions/traceEvents/metrics/obs/bounds/gen/reports/\
+               diagnostics)"))
       | _ -> check_fail "top-level value is not an object")
   with Check_fail msg ->
     Printf.eprintf "check-json: %s in %s\n" msg path;
@@ -1982,143 +1875,6 @@ let bench_obs ~json ~out () =
     bpf "    \"disabled_span_ns\": %.3f,\n" per_call_ns;
     bpf "    \"disabled_cost_fraction\": %.8f,\n" disabled_cost;
     bpf "    \"disabled_cost_ok\": %b\n" (disabled_cost < 0.02);
-    bpf "  }\n";
-    bpf "}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Shard: multi-process summarize on a reduced gen corpus — byte-identity
-   across worker counts, and zero recomputation on a warm shared tier *)
-
-let bench_shard ~json ~out () =
-  header "Shard: multi-process summarize (reduced gen corpus)";
-  let cfg =
-    { (Corpus.Gen.standard ()) with Corpus.Gen.g_files = 16; g_pus_per_file = 5 }
-  in
-  let files = Corpus.Gen.generate cfg in
-  let lower () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
-  (* the exact .rgn/.dgn/.cfg contents uhc would write, as one string *)
-  let render (r : Ipa.Analyze.result) =
-    let blocks =
-      List.concat_map
-        (fun (proc, c) ->
-          Array.to_list
-            (Array.map
-               (fun (b : Cfg.block) ->
-                 {
-                   Rgnfile.Files.cb_proc = proc;
-                   cb_id = b.Cfg.id;
-                   cb_label = b.Cfg.label;
-                   cb_succs = b.Cfg.succs;
-                 })
-               c.Cfg.blocks))
-        r.Ipa.Analyze.r_cfgs
-    in
-    String.concat "\x00"
-      [
-        Rgnfile.Files.write_rgn r.Ipa.Analyze.r_rows;
-        Rgnfile.Files.write_dgn r.Ipa.Analyze.r_dgn;
-        Rgnfile.Files.write_cfg blocks;
-      ]
-  in
-  Printf.printf "corpus: %d files, %d PUs (seed %d)\n" (List.length files)
-    (Corpus.Gen.pu_count cfg) cfg.Corpus.Gen.g_seed;
-  let run_at workers =
-    let t0 = Unix.gettimeofday () in
-    let r = Engine.run (Engine.config ~workers ()) (lower ()) in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let baseline = render (snd (run_at 0)).Engine.e_result in
-  let rows =
-    List.map
-      (fun w ->
-        let wall, r = run_at w in
-        let same = render r.Engine.e_result = baseline in
-        let spawned, tasks, steals, busy =
-          match r.Engine.e_stats.Engine.Stats.s_shard with
-          | None -> (0, 0, 0, [])
-          | Some s ->
-            ( s.Engine_shard.st_spawned,
-              s.Engine_shard.st_tasks,
-              s.Engine_shard.st_steals,
-              List.map
-                (fun (ws : Engine_shard.worker_stat) ->
-                  ws.Engine_shard.ws_busy_ns)
-                s.Engine_shard.st_workers )
-        in
-        Printf.printf
-          "workers %d: %.4fs  %d spawned, %d tasks (%d stolen)  %s\n" w wall
-          spawned tasks steals
-          (if same then "byte-identical" else "OUTPUT DIFFERS");
-        (w, wall, same, spawned, tasks, steals, busy))
-      [ 0; 1; 2; 4; 8 ]
-  in
-  let identical =
-    if List.for_all (fun (_, _, s, _, _, _, _) -> s) rows then 1 else 0
-  in
-  (* warm shared tier: a cold sharded run publishes every summary into the
-     shared --cache-dir tier as it lands, so a second sharded run over
-     unchanged content recomputes nothing (and spawns no worker) *)
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "uhc_bench_shard_%d" (Unix.getpid ()))
-  in
-  let rm () =
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
-  in
-  rm ();
-  let run_store () =
-    Engine.run
-      (Engine.config ~workers:4 ~store:(Engine_store.create ~dir ()) ())
-      (lower ())
-  in
-  let cold = run_store () in
-  let warm = run_store () in
-  rm ();
-  let hits (r : Engine.result) = r.Engine.e_stats.Engine.Stats.s_summary_hits in
-  let pus (r : Engine.result) = r.Engine.e_stats.Engine.Stats.s_pus in
-  let warm_hit_rate =
-    float_of_int (hits warm) /. float_of_int (max 1 (pus warm))
-  in
-  let warm_identical = render warm.Engine.e_result = baseline in
-  Printf.printf
-    "shared tier, 4 workers: cold %d/%d summary hits, warm %d/%d (hit rate \
-     %.2f)%s\n"
-    (hits cold) (pus cold) (hits warm) (pus warm) warm_hit_rate
-    (if warm_identical then "" else "  OUTPUT DIFFERS");
-  if json || out <> None then begin
-    let path = Option.value out ~default:"BENCH_shard.json" in
-    let b = Buffer.create 2048 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    bpf "{\n";
-    bpf "  \"bench\": \"shard\",\n";
-    bpf "  \"schema_version\": %d,\n" Analyses.Report.schema_version;
-    bpf "  \"shard\": {\n";
-    bpf "    \"files\": %d,\n" (List.length files);
-    bpf "    \"pus\": %d,\n" (Corpus.Gen.pu_count cfg);
-    bpf "    \"topologies\": [\n";
-    List.iteri
-      (fun i (w, wall, same, spawned, tasks, steals, busy) ->
-        bpf
-          "      {\"workers\": %d, \"wall_s\": %.6f, \"identical\": %b, \
-           \"spawned\": %d, \"tasks\": %d, \"steals\": %d, \"busy_ns\": [%s]}%s\n"
-          w wall same spawned tasks steals
-          (String.concat ", " (List.map string_of_int busy))
-          (if i < List.length rows - 1 then "," else ""))
-      rows;
-    bpf "    ],\n";
-    bpf "    \"topologies_measured\": %d,\n" (List.length rows);
-    bpf "    \"topologies_measured_floor\": %d,\n" (List.length rows);
-    bpf "    \"identical\": %d,\n"
-      (if identical = 1 && warm_identical then 1 else 0);
-    bpf "    \"identical_floor\": 1,\n";
-    bpf "    \"warm_hit_rate\": %.4f,\n" warm_hit_rate;
-    bpf "    \"warm_hit_rate_floor\": 1.0\n";
     bpf "  }\n";
     bpf "}\n";
     let oc = open_out path in
@@ -2210,7 +1966,6 @@ let timing_suite () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  Engine_shard.worker_check_argv ();
   let rec parse (json, out, sections) = function
     | [] -> (json, out, List.rev sections)
     | "--json" :: rest -> parse (true, out, sections) rest
@@ -2245,5 +2000,4 @@ let () =
     if all || only "gen" then bench_gen ~json ~out ();
     if all || only "regions" then bench_regions ~json ~out ();
     if all || only "obs" then bench_obs ~json ~out ();
-    if all || only "shard" then bench_shard ~json ~out ();
     if all || only "timing" then timing_suite ()

@@ -7,9 +7,8 @@
 
 let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
     dump_summaries execute wopt ipl_dir fuse autopar emit_whirl loop_summaries
-    jobs workers cache_dir stats stats_det trace metrics log_level keep_going
-    fault_specs diagnostics solver_budget join_path solver_core analyses report
-    ledger no_ledger =
+    jobs cache_dir stats stats_det trace metrics log_level keep_going
+    fault_specs diagnostics solver_budget analyses report ledger no_ledger =
   let ledger =
     if no_ledger then Some false else if ledger then Some true else None
   in
@@ -17,10 +16,9 @@ let run paths corpus out_dir project dump_whirl dump_src dump_callgraph
     Pipeline.run
       (Pipeline.make ~paths ?corpus ?out_dir ~project ~dump_whirl ~dump_src
          ~dump_callgraph ~dump_summaries ~execute ~wopt ?ipl_dir ~fuse ~autopar
-         ?emit_whirl ~loop_summaries ~jobs ~workers ?cache_dir ~stats
-         ~stats_det ?trace
-         ?metrics ~log_level ~keep_going ~fault_specs ?diagnostics
-         ?solver_budget ~join_path ~solver_core ~analyses ?report ?ledger ())
+         ?emit_whirl ~loop_summaries ~jobs ?cache_dir ~stats ~stats_det
+         ?trace ?metrics ~log_level ~keep_going ~fault_specs ?diagnostics
+         ?solver_budget ~analyses ?report ?ledger ())
   in
   result.Pipeline.r_code
 
@@ -116,16 +114,6 @@ let jobs =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Analysis domains: 1 = serial (default), 0 = one per core. \
               Output is byte-identical at any setting.")
-
-let workers =
-  Arg.(
-    value & opt int 0
-    & info [ "workers" ] ~docv:"N"
-        ~doc:"Shard the summarize phase across N worker processes (0 = \
-              in-process only, the default).  Workers exchange work and \
-              summaries over a pipe protocol and publish results into the \
-              shared --cache-dir tier; output is byte-identical at any \
-              setting.")
 
 let cache_dir =
   Arg.(
@@ -225,33 +213,6 @@ let solver_budget =
               cost (constraints times variables) exceeds N answers \
               conservatively from the interval box instead of running \
               Fourier-Motzkin.")
-
-let join_path =
-  Arg.(
-    value
-    & opt (enum [ ("fast", `Fast); ("reference", `Reference) ]) `Fast
-    & info [ "join-path" ] ~docv:"PATH"
-        ~doc:"Region-join implementation: fast (default) uses the \
-              hash-consed short-circuits, bucketed summaries and the \
-              entailment memo; reference restores the pre-interning join. \
-              Outputs are byte-identical either way (the knob exists for \
-              differential testing and bench regions).")
-
-let solver_core =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("learned", `Learned); ("packed", `Packed);
-             ("reference", `Reference) ])
-        `Learned
-    & info [ "solver-core" ] ~docv:"CORE"
-        ~doc:"Feasibility solver core: learned (default) adds persistent \
-              per-system contexts with Farkas-cut learning and \
-              activity-ordered elimination on top of the packed integer \
-              solver; packed is the packed solver alone; reference is the \
-              exact rational eliminator. Outputs are byte-identical across \
-              all three.")
 
 let analyses =
   let parse s =
@@ -420,17 +381,14 @@ let cmd =
     Term.(
       const run $ paths $ corpus $ out_dir $ project $ dump_whirl $ dump_src
       $ dump_callgraph $ dump_summaries $ execute $ wopt $ ipl_dir $ fuse
-      $ autopar $ emit_whirl $ loop_summaries $ jobs $ workers $ cache_dir
-      $ stats
+      $ autopar $ emit_whirl $ loop_summaries $ jobs $ cache_dir $ stats
       $ stats_det $ trace $ metrics $ log_level $ keep_going $ fault_specs
-      $ diagnostics $ solver_budget $ join_path $ solver_core $ analyses
-      $ report $ ledger $ no_ledger)
+      $ diagnostics $ solver_budget $ analyses $ report $ ledger $ no_ledger)
 
 (* [uhc gen ...] dispatches on the first word by hand: a [Cmd.group] with
    a default term would swallow positional source paths as (unknown)
    command names, and plain [uhc file.f] must keep working. *)
 let () =
-  Engine_shard.worker_check_argv ();
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "gen" then begin
     let argv =
       Array.append [| "uhc gen" |] (Array.sub Sys.argv 2 (Array.length Sys.argv - 2))

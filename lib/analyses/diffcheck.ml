@@ -16,7 +16,7 @@
 
    Both counters must be zero for [ok=true].  The check is a pure
    function of the module and the analysis result, so its report is
-   byte-identical across --jobs settings and solver cores like every
+   byte-identical across --jobs settings and solver modes like every
    other client. *)
 
 open Whirl

@@ -135,11 +135,9 @@ type verdict = {
 
 (* Only deterministic counters by default: verdict tallies, diagnostics
    and the cache miss count are byte-stable across reruns of the same
-   inputs at any --jobs or --workers setting, so a no-change rerun
-   always passes.  cache.summary_misses in particular enforces
-   worker-count invariance: a warm rerun of an unchanged corpus must
-   recompute nothing regardless of topology.  Wall-clock and
-   scheduling-dependent counters (topology.steals, busy_ns) regress only
+   inputs at any --jobs setting, so a no-change rerun always passes.
+   cache.summary_misses in particular enforces that a warm rerun of an
+   unchanged corpus recomputes nothing.  Wall-clock counters regress only
    when asked to via --threshold. *)
 let default_rules =
   [

@@ -16,14 +16,12 @@
 
 type config = {
   jobs : int;
-  workers : int;
   store : Engine_store.t option;
   keep_going : bool;
 }
 
 val config :
   ?jobs:int ->
-  ?workers:int ->
   ?store:Engine_store.t ->
   ?keep_going:bool ->
   unit ->
@@ -31,13 +29,6 @@ val config :
 (** [jobs] defaults to [1] (serial); [0] means
     [Domain.recommended_domain_count ()].  Without [store], nothing is
     cached.
-
-    [workers] (default [0] = in-process only) spawns that many worker
-    processes and shards the summarize phase's SCC levels across them via
-    {!Engine_shard}, publishing computed summaries into the store's
-    shared directory as they land.  Outputs are byte-identical at every
-    [workers] setting; every failure mode falls back to in-process
-    analysis.
 
     [keep_going] (default [false]) turns on per-PU error isolation: a PU
     whose collection or summarization raises — an injected {!Fault} or a
@@ -55,7 +46,7 @@ module Stats : sig
     ph_alloc : float;
         (** bytes allocated during the phase, coordinating domain plus
             every worker domain that participated in the phase's pool
-            batches (workers report their [Gc.allocated_bytes] deltas
+            batches (pool domains report their [Gc.allocated_bytes] deltas
             through the ambient {!Obs.Sink}) *)
   }
 
@@ -70,11 +61,7 @@ module Stats : sig
     s_total_wall : float;
     s_solver : Linear.Solver_stats.t;
         (** solver-layer counter deltas attributed to this run (queries,
-            memo hits, eliminations — see {!Linear.Solver_stats});
-            includes counters absorbed from shard workers *)
-    s_shard : Engine_shard.stats option;
-        (** [Some] iff [workers > 0]: spawn/task/steal/busy telemetry.
-            Scheduling-dependent, so excluded from {!pp_deterministic}. *)
+            memo hits, eliminations — see {!Linear.Solver_stats}) *)
   }
 
   val pp : Format.formatter -> t -> unit

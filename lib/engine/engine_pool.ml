@@ -2,7 +2,7 @@
 
    Spawning a domain costs milliseconds (its minor heap alone), which would
    dwarf the per-PU work the engine fans out — one analysis run issues a
-   batch per phase plus one per call-graph level.  So workers are spawned
+   batch per phase plus one per call-graph level.  So domains are spawned
    once, on first use, and parked on a condition variable between batches;
    submitting a batch is just a broadcast.
 
@@ -22,13 +22,13 @@ type batch = {
   next : int Atomic.t;  (* next unclaimed task index *)
   finished : int Atomic.t;  (* completed tasks *)
   slots : int Atomic.t;  (* worker-participation permits left *)
-  active : int Atomic.t;  (* workers drained but not yet published *)
+  active : int Atomic.t;  (* helpers drained but not yet published *)
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
 }
 
 type pool = {
   mutex : Mutex.t;
-  wake : Condition.t;  (* workers: a new batch (epoch bump) or shutdown *)
+  wake : Condition.t;  (* helpers: a new batch (epoch bump) or shutdown *)
   done_ : Condition.t;  (* caller: batch completed *)
   mutable epoch : int;
   mutable current : batch option;
@@ -128,7 +128,7 @@ let pool =
          p.domains <- []);
      p)
 
-let ensure_workers p count =
+let ensure_helpers p count =
   if p.spawned < count then begin
     Mutex.lock p.mutex;
     while p.spawned < count do
@@ -144,7 +144,7 @@ let run ~jobs (tasks : (unit -> unit) array) =
   if jobs <= 1 then Array.iter (fun t -> t ()) tasks
   else begin
     let p = Lazy.force pool in
-    ensure_workers p (jobs - 1);
+    ensure_helpers p (jobs - 1);
     let b =
       {
         tasks;

@@ -116,7 +116,7 @@ let add_site (s : Ipa.Collect.site) acc =
   in
   List.fold_left (fun a l -> add_loop l a) acc s.Ipa.Collect.s_loops
 
-let add_summary (s : Ipa.Summary.t) acc =
+let add_summary_vars (s : Ipa.Summary.t) acc =
   List.fold_left
     (fun a (e : Ipa.Summary.entry) -> add_region e.Ipa.Summary.e_region a)
     acc s
@@ -254,8 +254,8 @@ let max_attempts = 3
 
 let backoff_s ~key attempt =
   (* exponential base with deterministic seeded jitter: splitmix64 over
-     (pid, entry, attempt) spreads the sleep across [0.5x, 1.5x) so N
-     workers hammering one shared tier don't retry in lockstep, while
+     (pid, entry, attempt) spreads the sleep across [0.5x, 1.5x) so
+     processes sharing one cache directory don't retry in lockstep, while
      staying reproducible for any given process/key/attempt triple *)
   let base = 0.0005 *. float_of_int (1 lsl attempt) in
   let h = Hashtbl.hash (Unix.getpid (), key, attempt) in
@@ -410,8 +410,8 @@ let add_raw t ns key bytes =
   | None -> ()
   | Some path ->
     if Sys.file_exists path then
-      (* single-writer discipline on the shared tier: keys are content
-         addresses, so an existing file already holds these bytes —
+      (* single-writer discipline on a shared cache directory: keys are
+         content addresses, so an existing file already holds these bytes —
          whoever published first wins and everyone else skips the write *)
       Obs.Metrics.Counter.incr c_publish_skips
     else begin
@@ -446,34 +446,18 @@ let decode_entry (type a) t ns key (k : string) (bytes : string) :
     None
 
 (* ------------------------------------------------------------------ *)
-(* Typed views.
+(* Typed views *)
 
-   The encode/decode pairs are standalone pure codecs over entry images —
-   the same bytes the store persists — so the shard wire protocol can ship
-   summaries between processes in exactly the cache format.  The decode
-   side of [find_*] additionally routes through [decode_entry] for fault
-   injection and quarantine; the standalone decoders assume an already
-   verified image (a wire payload, not an untrusted file). *)
+let encode entry_vars (p : 'a) =
+  Marshal.to_string
+    {
+      en_counter = Linear.Var.current ();
+      en_syms = syms_of entry_vars;
+      en_value = p;
+    }
+    []
 
-let collect_of_entry ~m (entry : collect_payload entry) : collect_payload =
-  Linear.Var.advance_past entry.en_counter;
-  let f = remap_fn m entry.en_syms in
-  let p = entry.en_value in
-  {
-    cp_accesses = List.map (map_access f) p.cp_accesses;
-    cp_sites = List.map (map_site f) p.cp_sites;
-  }
-
-let summary_of_entry ~m (entry : summary_payload entry) : summary_payload =
-  Linear.Var.advance_past entry.en_counter;
-  let f = remap_fn m entry.en_syms in
-  let p = entry.en_value in
-  {
-    sp_summary = map_summary f p.sp_summary;
-    sp_propagated = List.map (map_access f) p.sp_propagated;
-  }
-
-let encode_collect (p : collect_payload) =
+let add_collect t ~key (p : collect_payload) =
   let vars =
     List.fold_left
       (fun a s -> add_site s a)
@@ -481,29 +465,7 @@ let encode_collect (p : collect_payload) =
          p.cp_accesses)
       p.cp_sites
   in
-  Marshal.to_string
-    { en_counter = Linear.Var.current (); en_syms = syms_of vars; en_value = p }
-    []
-
-let decode_collect ~m bytes : collect_payload =
-  collect_of_entry ~m (Marshal.from_string bytes 0 : collect_payload entry)
-
-let encode_summary (p : summary_payload) =
-  let vars =
-    add_summary p.sp_summary
-      (List.fold_left
-         (fun a x -> add_access x a)
-         Linear.Var.Set.empty p.sp_propagated)
-  in
-  Marshal.to_string
-    { en_counter = Linear.Var.current (); en_syms = syms_of vars; en_value = p }
-    []
-
-let decode_summary ~m bytes : summary_payload =
-  summary_of_entry ~m (Marshal.from_string bytes 0 : summary_payload entry)
-
-let add_collect t ~key (p : collect_payload) =
-  add_raw t "c" key (encode_collect p)
+  add_raw t "c" key (encode vars p)
 
 let find_collect t ~m ~key : collect_payload option =
   match find_raw t "c" key with
@@ -511,10 +473,24 @@ let find_collect t ~m ~key : collect_payload option =
   | Some (k, bytes) -> (
     match (decode_entry t "c" key k bytes : collect_payload entry option) with
     | None -> None
-    | Some entry -> Some (collect_of_entry ~m entry))
+    | Some entry ->
+      Linear.Var.advance_past entry.en_counter;
+      let f = remap_fn m entry.en_syms in
+      let p = entry.en_value in
+      Some
+        {
+          cp_accesses = List.map (map_access f) p.cp_accesses;
+          cp_sites = List.map (map_site f) p.cp_sites;
+        })
 
 let add_summary t ~key (p : summary_payload) =
-  add_raw t "s" key (encode_summary p)
+  let vars =
+    add_summary_vars p.sp_summary
+      (List.fold_left
+         (fun a x -> add_access x a)
+         Linear.Var.Set.empty p.sp_propagated)
+  in
+  add_raw t "s" key (encode vars p)
 
 let find_summary t ~m ~key : summary_payload option =
   match find_raw t "s" key with
@@ -522,11 +498,15 @@ let find_summary t ~m ~key : summary_payload option =
   | Some (k, bytes) -> (
     match (decode_entry t "s" key k bytes : summary_payload entry option) with
     | None -> None
-    | Some entry -> Some (summary_of_entry ~m entry))
-
-let publish_summary t ~key image = add_raw t "s" key image
-let dir t = t.dir
-let schema () = Lazy.force schema_token
+    | Some entry ->
+      Linear.Var.advance_past entry.en_counter;
+      let f = remap_fn m entry.en_syms in
+      let p = entry.en_value in
+      Some
+        {
+          sp_summary = map_summary f p.sp_summary;
+          sp_propagated = List.map (map_access f) p.sp_propagated;
+        })
 
 let entry_count t =
   Mutex.lock t.mutex;

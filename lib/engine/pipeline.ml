@@ -3,7 +3,7 @@
    This is the paper's usage steps 1-2 (compile with interprocedural array
    analysis enabled, obtain the .dgn/.cfg/.rgn files Dragon loads) as a
    library entry point: [bin/uhc] is now only command-line parsing over
-   [make]/[exec].  Analysis itself goes through [Engine.run], so every
+   [make]/[run].  Analysis itself goes through [Engine.run], so every
    driver feature (--fuse re-analysis, repeated invocations with
    --cache-dir) is parallel and incremental for free. *)
 
@@ -24,7 +24,6 @@ type config = {
   ipl_dir : string option;
   emit_whirl : string option;
   jobs : int;
-  workers : int;
   cache_dir : string option;
   stats : bool;
   stats_det : bool;
@@ -35,8 +34,6 @@ type config = {
   fault_specs : string list;
   diagnostics : string option;
   solver_budget : int option;
-  join_path : [ `Fast | `Reference ];
-  solver_core : [ `Learned | `Packed | `Reference ];
   analyses : string list;
   report : string option;
   ledger : bool option;
@@ -54,11 +51,10 @@ let make ?(paths = []) ?corpus ?out_dir ?(project = "project")
     ?(dump_whirl = false) ?(dump_src = false) ?(dump_callgraph = false)
     ?(dump_summaries = false) ?(loop_summaries = false) ?(execute = false)
     ?(wopt = false) ?(fuse = false) ?(autopar = false) ?ipl_dir ?emit_whirl
-    ?(jobs = 1) ?(workers = 0) ?cache_dir ?(stats = false)
-    ?(stats_det = false) ?trace
+    ?(jobs = 1) ?cache_dir ?(stats = false) ?(stats_det = false) ?trace
     ?metrics ?(log_level = Obs.Log.Quiet) ?(keep_going = false)
-    ?(fault_specs = []) ?diagnostics ?solver_budget ?(join_path = `Fast)
-    ?(solver_core = `Learned) ?(analyses = []) ?report ?ledger () =
+    ?(fault_specs = []) ?diagnostics ?solver_budget ?(analyses = []) ?report
+    ?ledger () =
   {
     paths;
     corpus;
@@ -76,7 +72,6 @@ let make ?(paths = []) ?corpus ?out_dir ?(project = "project")
     ipl_dir;
     emit_whirl;
     jobs;
-    workers;
     cache_dir;
     stats;
     stats_det;
@@ -87,8 +82,6 @@ let make ?(paths = []) ?corpus ?out_dir ?(project = "project")
     fault_specs;
     diagnostics;
     solver_budget;
-    join_path;
-    solver_core;
     analyses;
     report;
     ledger;
@@ -240,8 +233,7 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
       | None -> if cfg.fuse then Some (Engine_store.in_memory ()) else None
     in
     let engine_cfg =
-      Engine.config ~jobs:cfg.jobs ~workers:cfg.workers ?store
-        ~keep_going:cfg.keep_going ()
+      Engine.config ~jobs:cfg.jobs ?store ~keep_going:cfg.keep_going ()
     in
     let analyze m =
       let r = Engine.run engine_cfg m in
@@ -429,17 +421,10 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
     Printf.eprintf "uhc: %s\n" msg;
     1
 
-let solver_core_name = function
-  | `Learned -> "learned"
-  | `Packed -> "packed"
-  | `Reference -> "reference"
-
-let join_path_name = function `Fast -> "fast" | `Reference -> "reference"
-
 (* Digest of the semantic configuration: two ledger records with equal
    config and corpus digests analyzed the same inputs the same way, so
-   their deterministic counters are comparable.  [jobs], [workers] and
-   the observation/output paths are deliberately excluded — outputs are
+   their deterministic counters are comparable.  [jobs] and the
+   observation/output paths are deliberately excluded — outputs are
    byte-identical across those. *)
 let config_digest (cfg : config) =
   let b = Buffer.create 256 in
@@ -456,8 +441,6 @@ let config_digest (cfg : config) =
   add (string_of_bool cfg.keep_going);
   List.iter add cfg.fault_specs;
   add (match cfg.solver_budget with Some n -> string_of_int n | None -> "");
-  add (join_path_name cfg.join_path);
-  add (solver_core_name cfg.solver_core);
   List.iter add cfg.analyses;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -487,8 +470,6 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
   bpf "\"corpus\":\"%s\","
     (Obs.Json.escape (Option.value cfg.corpus ~default:"-"));
   bpf "\"jobs\":%d," cfg.jobs;
-  bpf "\"solver_core\":\"%s\"," (solver_core_name cfg.solver_core);
-  bpf "\"join_path\":\"%s\"," (join_path_name cfg.join_path);
   bpf "\"analyses\":";
   strings cfg.analyses;
   bpf ",\"config_digest\":\"%s\"," (config_digest cfg);
@@ -525,29 +506,7 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
         if i > 0 then Buffer.add_char b ',';
         bpf "\"%s\":%d" k v)
       (Linear.Solver_stats.to_alist s.Engine.Stats.s_solver);
-    bpf "}";
-    (* sharded-execution topology: always present when analyzed so
-       [dragon history --path topology.steals] works on every record;
-       all-zero when workers = 0 *)
-    let sh = s.Engine.Stats.s_shard in
-    let shi f = match sh with None -> 0 | Some st -> f st in
-    bpf
-      ",\"topology\":{\"workers\":%d,\"spawned\":%d,\"jobs\":%d,\"tasks\":%d,\"steals\":%d,\"fallback_local\":%d,\"busy_ns\":["
-      (shi (fun st -> st.Engine_shard.st_requested))
-      (shi (fun st -> st.Engine_shard.st_spawned))
-      cfg.jobs
-      (shi (fun st -> st.Engine_shard.st_tasks))
-      (shi (fun st -> st.Engine_shard.st_steals))
-      (shi (fun st -> st.Engine_shard.st_fallback_local));
-    (match sh with
-    | None -> ()
-    | Some st ->
-      List.iteri
-        (fun i (w : Engine_shard.worker_stat) ->
-          if i > 0 then Buffer.add_char b ',';
-          bpf "%d" w.Engine_shard.ws_busy_ns)
-        st.Engine_shard.st_workers);
-    bpf "]}");
+    bpf "}");
   (* verdict tallies: each analysis' summary lines, e.g.
      verdicts.bounds.safe *)
   bpf ",\"verdicts\":{";
@@ -649,22 +608,8 @@ let run (cfg : config) =
       false
   in
   Linear.System.set_step_budget cfg.solver_budget;
-  (* join-path selection: [`Reference] measures the pre-interning join
-     (per-entry summary folds, no id short-circuit, no implies memo);
-     outputs are byte-identical either way *)
-  (match cfg.join_path with
-  | `Fast ->
-    Regions.Region.set_fast_join true;
-    Linear.System.set_implies_memo_enabled true
-  | `Reference ->
-    Regions.Region.set_fast_join false;
-    Linear.System.set_implies_memo_enabled false);
-  (* solver-core selection ([--solver-core]): learned (default), packed
-     (no learned contexts) or reference — outputs are byte-identical
-     across all three, enforced by verify.sh and the solver tests *)
-  Linear.System.set_solver_core cfg.solver_core;
-  if cfg.solver_core <> `Learned || cfg.fault_specs <> []
-     || cfg.solver_budget <> None then
+  let clear_cache = cfg.fault_specs <> [] || cfg.solver_budget <> None in
+  if clear_cache then
     (* degraded answers are never memoized, but an earlier in-process run
        may have cached exact answers the faulted run should recompute (and
        vice versa for the run after) -- start from a cold solver cache *)
@@ -676,7 +621,6 @@ let run (cfg : config) =
       ("inputs", string_of_int (List.length cfg.paths));
       ("corpus", Option.value cfg.corpus ~default:"-");
       ("jobs", string_of_int cfg.jobs);
-      ("workers", string_of_int cfg.workers);
     ];
   let t0 = Obs.Trace.now_ns () in
   let diags = ref [] in
@@ -688,12 +632,7 @@ let run (cfg : config) =
     ~finally:(fun () ->
       Fault.clear ();
       Linear.System.set_step_budget None;
-      Regions.Region.set_fast_join true;
-      Linear.System.set_implies_memo_enabled true;
-      Linear.System.set_solver_core `Learned;
-      if cfg.solver_core <> `Learned || cfg.fault_specs <> []
-         || cfg.solver_budget <> None then
-        Linear.System.clear_cache ();
+      if clear_cache then Linear.System.clear_cache ();
       (* flush observation files even when the pipeline failed: a trace of a
          crashed run is exactly what one wants to look at *)
       (match trace_path with
@@ -766,8 +705,3 @@ let run (cfg : config) =
         r_diags = diags;
         r_reports = List.rev !reports;
       })
-
-let exec (cfg : config) = (run cfg).r_code
-let exec_full (cfg : config) =
-  let r = run cfg in
-  (r.r_code, r.r_diags)

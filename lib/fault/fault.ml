@@ -1,7 +1,7 @@
 (* Deterministic, seed-driven fault injection.
 
    The pipeline calls [inject site ~key] at a handful of tagged points
-   (store reads/writes, marshal decode, pool workers, solver queries).
+   (store reads/writes, marshal decode, pool tasks, solver queries).
    Whether a point fires is a pure function of (seed, site, key): the first
    8 bytes of an MD5 over the three are mapped to a uniform in [0,1) and
    compared against the configured rate.  No counters, no clocks — the same
@@ -106,13 +106,6 @@ let clear () =
   Atomic.set on false
 
 let enabled () = Atomic.get on
-let current_specs () = Array.to_list (Atomic.get state)
-
-let spec_to_string sp =
-  (* the inverse of [parse_spec], so a configuration can be shipped to a
-     worker process and re-parsed there *)
-  Printf.sprintf "%s:%g:%d%s" (site_name sp.sp_site) sp.sp_rate sp.sp_seed
-    (match sp.sp_only with None -> "" | Some only -> ":" ^ only)
 
 (* one injected-faults counter per site (registered eagerly; counters count
    regardless of the Obs.Metrics enable flag, like the engine's) *)

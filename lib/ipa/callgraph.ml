@@ -14,7 +14,7 @@ type t = {
   caller_map : (string, string list) Hashtbl.t;
   site_map : (string, callsite list) Hashtbl.t;
   (* derived structure, computed once at build time (the record is
-     immutable afterwards, so parallel engine workers can share it): *)
+     immutable afterwards, so parallel engine domains can share it): *)
   scc_list : string list list;  (** reverse topological (callees first) *)
   scc_index_tbl : (string, int) Hashtbl.t;  (** proc -> index in scc_list *)
   levels : int array;  (** per SCC index: DAG depth from the leaves *)

@@ -183,13 +183,6 @@ let ref_equal_semantic a b = ref_includes a b && ref_includes b a
 
 let use_reference = Atomic.make false
 let use_cache = Atomic.make true
-let use_implies_memo = Atomic.make true
-
-(* Learned-core flag, kept orthogonal to [use_reference] so the historical
-   [set_reference_mode] toggling done by tests and the bench keeps its
-   meaning: the effective core is [`Reference] whenever reference mode is
-   on, otherwise [`Learned]/[`Packed] by this flag. *)
-let use_learned = Atomic.make true
 
 (* Step budget: a per-query cost cap (constraint count x variable count, a
    deterministic proxy for elimination work).  A query over budget — or one
@@ -219,7 +212,7 @@ let memo_ok_cached = Atomic.make true
 
 let refresh_memo_ok () =
   Atomic.set memo_ok_cached
-    (Atomic.get use_implies_memo && Atomic.get use_cache
+    (Atomic.get use_cache
     && (not (Atomic.get use_reference))
     && Atomic.get step_budget < 0)
 
@@ -233,41 +226,11 @@ let set_cache_enabled b =
   Atomic.set use_cache b;
   refresh_memo_ok ()
 
-let set_implies_memo_enabled b =
-  Atomic.set use_implies_memo b;
-  refresh_memo_ok ()
-
-let implies_memo_enabled () = Atomic.get use_implies_memo
-
-type core = [ `Learned | `Packed | `Reference ]
-
-let set_solver_core (c : core) =
-  (match c with
-  | `Reference ->
-    Atomic.set use_reference true;
-    Atomic.set use_learned false
-  | `Packed ->
-    Atomic.set use_reference false;
-    Atomic.set use_learned false
-  | `Learned ->
-    Atomic.set use_reference false;
-    Atomic.set use_learned true);
-  refresh_memo_ok ()
-
-let solver_core () : core =
-  if Atomic.get use_reference then `Reference
-  else if Atomic.get use_learned then `Learned
-  else `Packed
-
 let set_step_budget n =
   (match n with
   | None -> Atomic.set step_budget (-1)
   | Some n -> Atomic.set step_budget (max 0 n));
   refresh_memo_ok ()
-
-let get_step_budget () =
-  let b = Atomic.get step_budget in
-  if b < 0 then None else Some b
 
 let set_small_threshold n = Atomic.set small_threshold (max 0 n)
 
@@ -718,14 +681,11 @@ let implies_learned t c =
           observe h_implies_eliminated;
           r))
 
-let implies_compute t c =
-  if Atomic.get use_learned then implies_learned t c else implies_uncached t c
-
 (* The memo only applies when every answer underneath is exact and the run
    is not deliberately measuring raw paths: degraded answers (budget /
    fault) must not be frozen, and reference / cache-off modes exist to
    time the unmemoized paths.  The same guard gates the learned contexts
-   and the L1 tables — they are memo layers too. *)
+   and the L1 table — they are memo layers too. *)
 let implies_memo_ok () = Atomic.get memo_ok_cached && not (Fault.enabled ())
 
 (* Per-domain L1 answer table for [implies], in front of the mutex-guarded
@@ -752,16 +712,9 @@ let implies t c =
     r
   end
   else begin
-    (* the L1 table belongs to the learned core: [--solver-core packed]
-       must reproduce the plain global-memo behavior it benchmarks *)
-    let l1 =
-      if Atomic.get use_learned then Some (Domain.DLS.get implies_l1_key)
-      else None
-    in
+    let l1 = Domain.DLS.get implies_l1_key in
     let lk = (t.id lsl 31) lor Constr.id c in
-    match
-      match l1 with Some l1 -> Hashtbl.find_opt l1 lk | None -> None
-    with
+    match Hashtbl.find_opt l1 lk with
     | Some r ->
       (* L1 hits are deliberately untimed: two clock reads would cost more
          than the lookup itself, and the wall sums are already excluded
@@ -782,13 +735,13 @@ let implies t c =
         | Some r -> r
         | None ->
           let r =
-            if fresh then implies_compute t c
-            else Solver_stats.quiet (fun () -> implies_compute t c)
+            if fresh then implies_learned t c
+            else Solver_stats.quiet (fun () -> implies_learned t c)
           in
           implies_memo_store key r;
           r
       in
-      (match l1 with Some l1 -> Hashtbl.replace l1 lk r | None -> ());
+      Hashtbl.replace l1 lk r;
       Solver_stats.add_implies_ns (now_ns () - t0);
       r
   end
@@ -885,10 +838,8 @@ let sample t =
    one reference computation produced — these are rendered into .rgn
    files, and byte-identity holds because a memo hit returns the identical
    interned value a recompute would. *)
-let ctx_memo_ok () = Atomic.get use_learned && Atomic.get use_cache
-
 let bounds v t =
-  if ctx_memo_ok () then begin
+  if Atomic.get use_cache then begin
     let ctx = Context.find t.id in
     match Context.find_bounds ctx (Var.id v) with
     | Some b -> b
@@ -900,7 +851,7 @@ let bounds v t =
   else bounds_raw v t
 
 let project_onto keep t =
-  if ctx_memo_ok () then begin
+  if Atomic.get use_cache then begin
     let ctx = Context.find t.id in
     let key = List.map Var.id (Var.Set.elements keep) in
     match Context.find_proj ctx key with

@@ -96,31 +96,21 @@ val sample : t -> (Var.t -> Rat.t) option
 (** A rational point satisfying the system, if feasible: found by
     back-substitution through the elimination order. *)
 
-(** {2 Solver cores}
+(** {2 Solver core}
 
-    Three interchangeable query cores, all byte-identical in answers and
-    outputs:
-
-    - [`Learned] (the default): the packed solver plus persistent
-      per-system {!Context}s — learned direction thresholds (Farkas cuts /
-      feasibility witnesses) answer repeat assumption queries by one
-      rational comparison, eliminations are ordered by conflict activity,
-      and bounds/projections are memoized per system.  A per-domain L1
-      table answers repeat implies queries without touching the global
-      memo's lock.
-    - [`Packed]: the packed integer Fourier-Motzkin fast path without the
-      learned layer (PR 5 behavior; kept for benchmarking the learned
-      layer's contribution).
-    - [`Reference]: the exact rational reference eliminator everywhere.
+    One production core answers {!feasible}/{!implies}/{!includes}/
+    {!disjoint}: the packed integer Fourier-Motzkin solver plus persistent
+    per-system {!Context}s — learned direction thresholds (Farkas cuts /
+    feasibility witnesses) answer repeat assumption queries by one
+    rational comparison, eliminations are ordered by conflict activity,
+    and bounds/projections are memoized per system.  A per-domain L1
+    table answers repeat implies queries without touching the global
+    memo's lock.
 
     The learned layer only engages when the implies memo may (cache on, no
     budget, no fault injection, not reference mode): it is a memo layer
-    itself, so the same exactness conditions apply. *)
-
-type core = [ `Learned | `Packed | `Reference ]
-
-val set_solver_core : core -> unit
-val solver_core : unit -> core
+    itself, so the same exactness conditions apply.  The exact rational
+    eliminator survives as {!Reference}, the differential oracle. *)
 
 val set_small_threshold : int -> unit
 (** Feasibility queries whose cost (constraint count times variable count,
@@ -140,9 +130,6 @@ val set_small_threshold : int -> unit
     testing and benchmarking; answers are identical in every configuration. *)
 
 val set_reference_mode : bool -> unit
-(** Equivalent to toggling between [`Reference] and the previously
-    selected non-reference core (the [`Learned]/[`Packed] choice is
-    remembered across toggles). *)
 
 val reference_mode : unit -> bool
 
@@ -156,28 +143,19 @@ val set_step_budget : int option -> unit
     (entailment and disjointness degrade to "cannot prove", so regions
     only grow).  Degraded answers are counted in the [solver.degraded]
     metric and never memoized; [None] (the default) restores exact
-    answers.  Reference mode ignores the budget.  Read back with
-    {!get_step_budget} (shard workers mirror the coordinator's knob).
-    The fault-injection
+    answers.  Reference mode ignores the budget.  The fault-injection
     site ["solver"] ({!Fault.Solver}) forces the same degradation on the
     targeted queries. *)
 
-val get_step_budget : unit -> int option
-
 val set_cache_enabled : bool -> unit
 (** The memo cache for {!feasible} is per-domain (domain-local storage), so
-    parallel engine workers never contend on it. *)
-
-val set_implies_memo_enabled : bool -> unit
-(** The {!implies} memo is global, keyed by (system id, constraint id) —
-    an implies answer amortizes several eliminations, so hits are shared
-    across domains.  It is bypassed automatically whenever answers could
-    be degraded (step budget, fault injection) or the run measures raw
-    paths (reference mode, cache off); this knob additionally disables it
-    for the reference join path ([--join-path reference] and the regions
-    bench).  Answers are identical either way. *)
-
-val implies_memo_enabled : unit -> bool
+    parallel engine domains never contend on it.  The {!implies} memo is
+    global, keyed by (system id, constraint id) — an implies answer
+    amortizes several eliminations, so hits are shared across domains.
+    [false] bypasses both, together with the learned contexts; the implies
+    memo is also bypassed whenever answers could be degraded (step budget,
+    fault injection) or in reference mode.  Answers are identical either
+    way. *)
 
 val clear_cache : unit -> unit
 (** Drop every domain's memo table (feasible memos and implies L1 tables),

@@ -2,7 +2,7 @@
 
     A sink collects allocation and busy-time contributions from worker
     domains during one engine phase; the coordinator installs it as the
-    ambient sink ({!set_current}), workers report their deltas at batch
+    ambient sink ({!set_current}), pool domains report their deltas at batch
     drain, and the coordinator reads the merged totals after the pool
     barrier.  This is what makes worker-domain allocation attributable in
     [Engine.Stats] — the coordinating domain's own [Gc.allocated_bytes]

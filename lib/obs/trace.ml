@@ -3,7 +3,7 @@
    Each domain that records a span gets its own growable event array,
    created on first use and registered (under a mutex, once per domain)
    in a global list; recording afterwards is plain appends to domain-local
-   state.  [export] walks the registered buffers after the workers have
+   state.  [export] walks the registered buffers after the pool domains have
    drained — the engine only exports once its pool batches have joined, so
    no synchronization with in-flight writers is needed. *)
 

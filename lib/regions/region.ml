@@ -26,16 +26,6 @@ type loop_ctx = {
   lc_step : int option;
 }
 
-(* Join-path selector.  [true] (the default) lets {!union_approx} skip the
-   per-constraint implies sweep when both operands carry the same interned
-   system — provably the same result, since an exact [System.implies]
-   entails every inequality of a system against itself.  [false] is the
-   pre-interning reference path, kept runtime-selectable for differential
-   tests and the regions bench ([--join-path reference]). *)
-let fast_join = Atomic.make true
-let set_fast_join b = Atomic.set fast_join b
-let fast_join_enabled () = Atomic.get fast_join
-
 let c_union_calls = Obs.Metrics.counter "regions.union.calls"
 let c_union_many_calls = Obs.Metrics.counter "regions.union_many.calls"
 let c_implies_saved = Obs.Metrics.counter "regions.union.implies_saved"
@@ -334,7 +324,12 @@ let union_strides la sa lb sb =
     | _ -> if g = 0 then Sconst 1 else Sconst g)
   | _ -> Sunknown
 
-let union_approx a b =
+(* The weak join.  With [short_circuit] (the production path) joining two
+   operands that carry the same interned system skips the per-constraint
+   implies sweep — provably the same result, since an exact
+   [System.implies] entails every inequality of a system against itself.
+   Without it this is the pre-interning join, kept as [Reference]. *)
+let join ~short_circuit a b =
   if a.ndims <> b.ndims then invalid_arg "Region.union_approx: rank mismatch";
   Obs.Metrics.Counter.incr c_union_calls;
   (* weak join: constraints of one side entailed by the other.  Equalities
@@ -352,7 +347,7 @@ let union_approx a b =
   in
   let keep_entailed src other =
     let ineqs = inequalities src in
-    if Atomic.get fast_join && System.equal src other then begin
+    if short_circuit && System.equal src other then begin
       (* joining a system with itself: [implies] is exact and complete, so
          every inequality derived from [src] is entailed by [other] — keep
          them all without a single solver query (same result by
@@ -383,6 +378,12 @@ let union_approx a b =
   if System.equal_semantic a.sys b.sys && a.dims = b.dims then
     { r with exact = a.exact && b.exact }
   else r
+
+let union_approx = join ~short_circuit:true
+
+module Reference = struct
+  let union_approx = join ~short_circuit:false
+end
 
 let union_many = function
   | [] -> invalid_arg "Region.union_many: empty list"

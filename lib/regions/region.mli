@@ -96,15 +96,13 @@ val union_many : t list -> t
     short-circuit and the [regions.union_many.calls] metric.
     @raise Invalid_argument on the empty list. *)
 
-val set_fast_join : bool -> unit
-(** Selects the join path.  [true] (default) lets {!union_approx} skip the
-    entailment sweep when both operands carry the same interned constraint
-    system, and lets the summary layer bucket entries by (array, mode)
-    instead of scanning linearly.  [false] restores the pre-interning
-    reference path; results are byte-identical either way (differential
-    tests and the regions bench rely on this knob). *)
-
-val fast_join_enabled : unit -> bool
+(** The join oracle for differential tests and [bench regions]. *)
+module Reference : sig
+  val union_approx : t -> t -> t
+  (** The same weak join as {!union_approx} (it shares the body) without
+      the equal-system short-circuit: every inequality goes through
+      [System.implies].  Stateless; results equal {!union_approx}. *)
+end
 
 val includes : t -> t -> bool
 (** Convex inclusion (ignores strides, hence conservative: [includes a b]

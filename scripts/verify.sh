@@ -17,6 +17,12 @@ fi
 echo "== dune runtest =="
 OCAMLRUNPARAM=b dune runtest
 
+echo "== committed BENCH_*.json pass check-json =="
+# a committed record that no longer matches the bench schema or its gates
+# fails here, so stale files cannot linger
+dune exec bench/main.exe -- check-json BENCH_bounds.json BENCH_gen.json \
+  BENCH_regions.json BENCH_solver.json
+
 echo "== smoke: uhc --corpus lu --jobs 4 =="
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -47,24 +53,6 @@ dune exec bin/uhc.exe -- --corpus lu --analyses bounds,permissions \
 cmp "$out/report1.json" "$out/report4.json"
 dune exec bench/main.exe -- check-json "$out/report1.json"
 dune exec bin/dragon.exe -- report "$out/report1.json" | grep -q "== analysis: bounds =="
-
-echo "== smoke: uhc --join-path reference is byte-identical =="
-dune exec bin/uhc.exe -- --corpus lu -o "$out/jfast" --jobs 4 >/dev/null
-dune exec bin/uhc.exe -- --corpus lu --join-path reference -o "$out/jref" \
-  --jobs 4 >/dev/null
-cmp "$out/jfast/project.rgn" "$out/jref/project.rgn"
-cmp "$out/jfast/project.dgn" "$out/jref/project.dgn"
-cmp "$out/jfast/project.cfg" "$out/jref/project.cfg"
-
-echo "== smoke: uhc --solver-core {learned,packed,reference} byte-identical =="
-# jfast above is the learned default; the other two cores must match it
-for core in packed reference; do
-  dune exec bin/uhc.exe -- --corpus lu --solver-core "$core" \
-    -o "$out/core_$core" --jobs 4 >/dev/null
-  cmp "$out/jfast/project.rgn" "$out/core_$core/project.rgn"
-  cmp "$out/jfast/project.dgn" "$out/core_$core/project.dgn"
-  cmp "$out/jfast/project.cfg" "$out/core_$core/project.cfg"
-done
 
 echo "== smoke: uhc --trace/--metrics + dragon profile =="
 dune exec bin/uhc.exe -- --corpus matrix --jobs 2 \
@@ -147,31 +135,5 @@ echo "== obs: duplicate metric registration is rejected =="
 # the "metrics registry" case re-registers a name as a different instrument
 # kind and fails unless Obs.Metrics raises Invalid_argument
 dune exec test/test_main.exe -- test obs 8
-
-echo "== smoke: uhc --workers 2 is byte-identical =="
-dune exec bin/uhc.exe -- --corpus lu --workers 2 -o "$out/w2" >/dev/null
-cmp "$out/plain/project.rgn" "$out/w2/project.rgn"
-cmp "$out/plain/project.dgn" "$out/w2/project.dgn"
-cmp "$out/plain/project.cfg" "$out/w2/project.cfg"
-
-echo "== smoke: sharded cold + warm share one cache tier =="
-# a cold sharded run publishes every summary; a warm run at a different
-# worker count recomputes nothing and the default regress gates (which
-# include cache.summary_misses) stay green across the topology change
-dune exec bin/uhc.exe -- --corpus gen-small --workers 2 \
-  --cache-dir "$out/scache" -o "$out/s1" >/dev/null
-dune exec bin/uhc.exe -- --corpus gen-small --workers 4 \
-  --cache-dir "$out/scache" -o "$out/s2" >/dev/null
-cmp "$out/s1/project.rgn" "$out/s2/project.rgn"
-cmp "$out/s1/project.dgn" "$out/s2/project.dgn"
-cmp "$out/s1/project.cfg" "$out/s2/project.cfg"
-dune exec bin/dragon.exe -- regress --cache-dir "$out/scache"
-dune exec bin/dragon.exe -- history --cache-dir "$out/scache" \
-  topology.steals | grep -q "^topology.steals"
-
-echo "== smoke: bench shard --json =="
-dune exec bench/main.exe -- shard --json --out "$out/BENCH_shard.json" >/dev/null
-test -s "$out/BENCH_shard.json"
-dune exec bench/main.exe -- check-json "$out/BENCH_shard.json"
 
 echo "verify: OK"

@@ -113,6 +113,132 @@ let test_hierarchy () =
   Alcotest.(check int) "reset" 0
     (s.Cache.Hierarchy.l1.Cache.reads + s.Cache.Hierarchy.l2.Cache.reads)
 
+(* ---- engine store safety under concurrent processes ------------------ *)
+
+let temp_dir () =
+  let d = Filename.temp_file "store" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+let rm_rf dir =
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+
+(* every file under [dir], recursively *)
+let rec files_under dir =
+  List.concat_map
+    (fun name ->
+      let p = Filename.concat dir name in
+      if Sys.is_directory p then files_under p else [ p ])
+    (Array.to_list (Sys.readdir dir))
+
+let check_no_litter where dir =
+  List.iter
+    (fun p ->
+      let base = Filename.basename p in
+      let has sub =
+        let n = String.length base and m = String.length sub in
+        let rec go i = i + m <= n && (String.sub base i m = sub || go (i + 1)) in
+        go 0
+      in
+      if has ".tmp." then
+        Alcotest.failf "%s: unpublished temp file %s left behind" where p;
+      if has ".quarantined" then
+        Alcotest.failf "%s: quarantined entry %s" where p)
+    (files_under dir)
+
+(* a sibling build output of this test binary *)
+let exe name =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
+    (name ^ ".exe")
+
+let drain_and_close ic =
+  let buf = Buffer.create 1024 in
+  (try
+     while true do
+       Buffer.add_channel buf ic 1
+     done
+   with End_of_file -> ());
+  (Unix.close_process_in ic, Buffer.contents buf)
+
+let read_file p =
+  let ic = open_in_bin p in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_concurrent_writers () =
+  if Sys.file_exists (exe "uhc") then begin
+    let dir = temp_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let cache = Filename.concat dir "cache" in
+    let spawn n =
+      let out = Filename.concat dir ("o" ^ string_of_int n) in
+      Unix.open_process_in
+        (Printf.sprintf "%s --corpus gen-small --cache-dir %s -o %s -p gs 2>&1"
+           (exe "uhc") (Filename.quote cache) (Filename.quote out))
+    in
+    (* two uhc processes race to publish the same content-addressed
+       entries into one cache directory *)
+    let p1 = spawn 1 in
+    let p2 = spawn 2 in
+    let st1, _ = drain_and_close p1 in
+    let st2, _ = drain_and_close p2 in
+    Alcotest.(check bool) "writer 1 exits 0" true (st1 = Unix.WEXITED 0);
+    Alcotest.(check bool) "writer 2 exits 0" true (st2 = Unix.WEXITED 0);
+    List.iter
+      (fun f ->
+        Alcotest.(check bool)
+          (f ^ " identical across concurrent writers")
+          true
+          (read_file (Filename.concat (Filename.concat dir "o1") f)
+          = read_file (Filename.concat (Filename.concat dir "o2") f)))
+      [ "gs.rgn"; "gs.dgn"; "gs.cfg" ];
+    check_no_litter "racing cache directory" cache
+  end
+
+let test_quarantine_then_heal () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let files = Test_engine.corpus_files "matrix" in
+  let run () =
+    Engine.run
+      (Engine.config ~store:(Engine_store.create ~dir ()) ())
+      (Test_engine.lower files)
+  in
+  let baseline = Test_engine.render (run ()).Engine.e_result in
+  (* corrupt one summary entry in place *)
+  let victim =
+    match
+      List.find_opt
+        (fun p ->
+          let b = Filename.basename p in
+          String.length b > 2 && String.sub b 0 2 = "s-")
+        (files_under dir)
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "no summary entry on disk"
+  in
+  let oc = open_out_bin victim in
+  output_string oc "garbage, not a marshal image";
+  close_out oc;
+  let healed = run () in
+  Test_engine.check_same_output "healed run" baseline
+    (Test_engine.render healed.Engine.e_result);
+  Alcotest.(check bool) "corrupt entry was quarantined" true
+    (List.exists
+       (fun (d : Fault.Diag.t) -> d.Fault.Diag.d_action = "quarantined")
+       healed.Engine.e_diags);
+  (* the entry was republished: a third run through a fresh handle is
+     fully warm again *)
+  let warm = run () in
+  Alcotest.(check int) "healed store is fully warm"
+    warm.Engine.e_stats.Engine.Stats.s_pus
+    warm.Engine.e_stats.Engine.Stats.s_summary_hits;
+  Test_engine.check_same_output "warm healed run" baseline
+    (Test_engine.render warm.Engine.e_result)
+
 let suite =
   [
     Alcotest.test_case "two-level hierarchy" `Quick test_hierarchy;
@@ -125,4 +251,8 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_validation;
     Alcotest.test_case "capacity" `Quick test_capacity;
     QCheck_alcotest.to_alcotest prop_sweep;
+    Alcotest.test_case "concurrent writers converge, no litter" `Quick
+      test_concurrent_writers;
+    Alcotest.test_case "corrupt entry quarantines then heals" `Quick
+      test_quarantine_then_heal;
   ]

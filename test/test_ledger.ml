@@ -2,8 +2,9 @@
    parses and carries the cache/verdict/per-PU sections; turning the
    ledger on or off changes no output byte at any --jobs setting; the
    regress gate's pass/breach logic (including the same-config baseline
-   filter); and explain pinning a re-analysis on the edited callee via
-   the recorded Merkle keys. *)
+   filter); explain pinning a re-analysis on the edited callee via the
+   recorded Merkle keys; and records in the older shape (topology block,
+   solver-core field) staying readable by every consumer. *)
 
 let temp_dir () =
   let d = Filename.temp_file "ledger" "" in
@@ -249,6 +250,100 @@ let test_explain_names_callee () =
     | Ok _ -> Alcotest.fail "unknown target accepted"
     | Error e -> Alcotest.(check bool) "error lists PUs" true (contains e "driver")
 
+(* ------------------------------------------------------------------ *)
+(* Records written before the topology block and the solver-core config
+   field were dropped stay readable *)
+
+let old_run_id = "18df376558cd2600-001784-0000"
+
+(* a fig1 record as the multi-process, knob-carrying pipeline wrote it
+   (metrics registry, solver counters and some config keys trimmed) *)
+let old_record =
+  String.concat ""
+    [
+      {|{"schema_version":1,"run_id":"|}; old_run_id;
+      {|","ts":1792212085.156,"project":"project","corpus":"fig1","jobs":1,|};
+      {|"solver_core":"learned","analyses":["bounds"],|};
+      {|"config_digest":"b21e7c1fd5742179c3effbcc5f7c32a3",|};
+      {|"corpus_digest":"2b912f95b5ab92082e1c0718c0c12b7f","exit_code":0,|};
+      {|"wall_s":0.018456,"outputs":["lgo/project.rgn","lgo/project.dgn",|};
+      {|"lgo/project.cfg"],"analyzed":true,"pus_analyzed":4,"phases":[|};
+      {|{"name":"prepare","wall_s":0.000044,"alloc_bytes":1466},|};
+      {|{"name":"collect","wall_s":0.000943,"alloc_bytes":18572},|};
+      {|{"name":"summarize","wall_s":0.000493,"alloc_bytes":6267}],|};
+      {|"cache":{"collect_hits":0,"collect_misses":4,"summary_hits":0,|};
+      {|"summary_misses":4},"solver":{"queries":0,"implies_queries":0,|};
+      {|"implies_memo_hits":0,"ctx_contexts":3,"ctx_bound_hits":18},|};
+      {|"topology":{"spawned":2,"jobs":1,"tasks":4,"steals":1,|};
+      {|"fallback_local":0,"busy_ns":[1200,900]},|};
+      {|"verdicts":{"bounds":{"accesses":6,"safe":6,"unsafe":0,"maybe":0}},|};
+      {|"diagnostics":0,"metrics":[],"pus":[|};
+      {|{"name":"fig1","file":"fig1.f","key1":"bc5bbb4b42c34f9c26d0193925e5da32",|};
+      {|"key2":"bf143ebfd6811dd58355e9839c6a199e","collect_hit":false,|};
+      {|"summary_hit":false,"callees":["add"]},|};
+      {|{"name":"add","file":"fig1.f","key1":"5873cc3317902505ea881de9a41203cb",|};
+      {|"key2":"4104da9461443709ed079ac0fac2055b","collect_hit":false,|};
+      {|"summary_hit":false,"callees":["p1","p2"]},|};
+      {|{"name":"p1","file":"fig1.f","key1":"aeb936415e29c1844ef845aea9472999",|};
+      {|"key2":"b194b6e2c05a69dde3fd366da5c4d1aa","collect_hit":false,|};
+      {|"summary_hit":false,"callees":[]},|};
+      {|{"name":"p2","file":"fig1.f","key1":"35b1fd95a24ff0cb3b84b6bb6d9a4e1c",|};
+      {|"key2":"c5c2038ad10dd997c37e8ce41e11c6d3","collect_hit":false,|};
+      {|"summary_hit":false,"callees":[]}]}|};
+    ]
+
+(* sibling build outputs of this test binary *)
+let exe dir name =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ dir))
+    (name ^ ".exe")
+
+(* exit code and combined output of a shell command *)
+let run_cmd cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>&1") in
+  let buf = Buffer.create 1024 in
+  (try
+     while true do
+       Buffer.add_channel buf ic 1
+     done
+   with End_of_file -> ());
+  let code =
+    match Unix.close_process_in ic with Unix.WEXITED c -> c | _ -> -1
+  in
+  (code, Buffer.contents buf)
+
+let test_old_record_accepted () =
+  let cache = temp_dir () in
+  let old_path =
+    Obs.Ledger.append ~cache_dir:cache ~run_id:old_run_id old_record
+  in
+  (* a current run over the same input lands after it *)
+  Alcotest.(check int) "current run exits 0" 0
+    (Pipeline.run
+       (Pipeline.make ~corpus:"fig1" ~cache_dir:cache ~analyses:[ "bounds" ] ()))
+      .Pipeline.r_code;
+  let expect_ok what cmd needle =
+    let code, out = run_cmd cmd in
+    if code <> 0 then Alcotest.failf "%s exited %d:\n%s" what code out;
+    if not (contains out needle) then
+      Alcotest.failf "%s output lacks %S:\n%s" what needle out
+  in
+  let bench = exe "bench" "main" and dragon = exe "bin" "dragon" in
+  let q = Filename.quote in
+  expect_ok "bench check-json"
+    (Printf.sprintf "%s check-json %s" bench (q old_path))
+    "OK (ledger, 1 record(s))";
+  expect_ok "dragon history"
+    (Printf.sprintf "%s history --cache-dir %s wall_s verdicts.bounds.safe"
+       dragon (q cache))
+    "verdicts.bounds.safe";
+  expect_ok "dragon regress"
+    (Printf.sprintf "%s regress --cache-dir %s" dragon (q cache))
+    "regress: OK";
+  expect_ok "dragon explain"
+    (Printf.sprintf "%s explain --cache-dir %s add" dragon (q cache))
+    ("vs previous " ^ old_run_id)
+
 let suite =
   [
     Alcotest.test_case "record written and parses" `Quick test_record_written;
@@ -257,4 +352,6 @@ let suite =
     Alcotest.test_case "regress gate logic" `Quick test_regress_gate;
     Alcotest.test_case "explain names the edited callee" `Quick
       test_explain_names_callee;
+    Alcotest.test_case "pre-removal records still accepted" `Quick
+      test_old_record_accepted;
   ]

@@ -1,21 +1,9 @@
 (* The hash-consed region algebra: interning soundness (equal ids iff
-   structurally equal after normalization), the n-way union and the
-   bucketed summary builder against their reference folds, and end-to-end
-   byte-identity of the fast and reference join paths on every corpus. *)
+   structurally equal after normalization), and the n-way union and the
+   bucketed summary builder against their reference folds — on random
+   regions and on the real region buckets of every corpus. *)
 
 open QCheck2
-
-(* Run [f] under the given join path, restoring the default afterwards.
-   [false] is the pre-interning reference configuration (per-entry summary
-   folds, no interned-id short-circuit, no implies memo). *)
-let with_join_path fast f =
-  Regions.Region.set_fast_join fast;
-  Linear.System.set_implies_memo_enabled fast;
-  Fun.protect
-    ~finally:(fun () ->
-      Regions.Region.set_fast_join true;
-      Linear.System.set_implies_memo_enabled true)
-    f
 
 let same_region (a : Regions.Region.t) (b : Regions.Region.t) =
   a.Regions.Region.ndims = b.Regions.Region.ndims
@@ -101,19 +89,23 @@ let prop_intern_sound =
 
 (* ---- differential: n-way union vs reference fold --------------------- *)
 
+let reference_union rs =
+  List.fold_left Regions.Region.Reference.union_approx (List.hd rs) (List.tl rs)
+
+let same_summary (a : Ipa.Summary.t) (b : Ipa.Summary.t) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (a : Ipa.Summary.entry) (b : Ipa.Summary.entry) ->
+         a.Ipa.Summary.e_key = b.Ipa.Summary.e_key
+         && Regions.Mode.equal a.Ipa.Summary.e_mode b.Ipa.Summary.e_mode
+         && a.Ipa.Summary.e_count = b.Ipa.Summary.e_count
+         && same_region a.Ipa.Summary.e_region b.Ipa.Summary.e_region)
+       a b
+
 let prop_union_many =
   Test.make ~name:"union_many = reference fold of union_approx" ~count:200
     Gen.(list_size (int_range 1 6) gen_region)
-    (fun rs ->
-      let fast =
-        with_join_path true (fun () -> Regions.Region.union_many rs)
-      in
-      let reference =
-        with_join_path false (fun () ->
-            List.fold_left Regions.Region.union_approx (List.hd rs)
-              (List.tl rs))
-      in
-      same_region fast reference)
+    (fun rs -> same_region (Regions.Region.union_many rs) (reference_union rs))
 
 (* ---- differential: bucketed summary builder vs add_entry fold -------- *)
 
@@ -141,42 +133,63 @@ let prop_builder =
             })
           picks
       in
-      let fast =
-        with_join_path true (fun () -> Ipa.Summary.add_entries [] entries)
-      in
-      let reference =
-        with_join_path false (fun () ->
-            List.fold_left Ipa.Summary.add_entry [] entries)
-      in
-      List.length fast = List.length reference
-      && List.for_all2
-           (fun (a : Ipa.Summary.entry) (b : Ipa.Summary.entry) ->
-             a.Ipa.Summary.e_key = b.Ipa.Summary.e_key
-             && Regions.Mode.equal a.Ipa.Summary.e_mode b.Ipa.Summary.e_mode
-             && a.Ipa.Summary.e_count = b.Ipa.Summary.e_count
-             && same_region a.Ipa.Summary.e_region b.Ipa.Summary.e_region)
-           fast reference)
+      same_summary
+        (Ipa.Summary.add_entries [] entries)
+        (List.fold_left Ipa.Summary.add_entry [] entries))
 
-(* ---- corpora: both join paths byte-identical at any --jobs ----------- *)
+(* ---- corpora: the real join buckets against the reference folds ------ *)
 
-let test_corpus_identity () =
+(* Every (procedure, array, mode) bucket of collected access regions, in
+   first-seen order: the groups the summary layer joins. *)
+let buckets_of corpus =
+  let res =
+    Engine.analyze (Test_engine.lower (Test_engine.corpus_files corpus))
+  in
+  let groups = Hashtbl.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun (pu, (info : Ipa.Collect.pu_info)) ->
+      List.iter
+        (fun (a : Ipa.Collect.access) ->
+          let k = (pu, a.Ipa.Collect.ac_st, a.Ipa.Collect.ac_mode) in
+          match Hashtbl.find_opt groups k with
+          | None ->
+            order := k :: !order;
+            Hashtbl.replace groups k [ a.Ipa.Collect.ac_region ]
+          | Some rs -> Hashtbl.replace groups k (a.Ipa.Collect.ac_region :: rs))
+        info.Ipa.Collect.p_accesses)
+    res.Ipa.Analyze.r_infos;
+  List.rev_map
+    (fun ((_, st, mode) as k) -> (st, mode, List.rev (Hashtbl.find groups k)))
+    !order
+
+let test_corpus_differential () =
   List.iter
     (fun corpus ->
-      let files = Test_engine.corpus_files corpus in
-      let render_with ~fast ~jobs =
-        with_join_path fast (fun () ->
-            Linear.System.clear_cache ();
-            Test_engine.render
-              (Engine.run (Engine.config ~jobs ()) (Test_engine.lower files))
-                .Engine.e_result)
-      in
-      let base = render_with ~fast:true ~jobs:1 in
-      Test_engine.check_same_output (corpus ^ " reference jobs=1") base
-        (render_with ~fast:false ~jobs:1);
-      Test_engine.check_same_output (corpus ^ " reference jobs=4") base
-        (render_with ~fast:false ~jobs:4);
-      Test_engine.check_same_output (corpus ^ " fast jobs=4") base
-        (render_with ~fast:true ~jobs:4))
+      let buckets = buckets_of corpus in
+      Alcotest.(check bool) (corpus ^ " has multi-region buckets") true
+        (List.exists (fun (_, _, rs) -> List.length rs > 1) buckets);
+      List.iteri
+        (fun i (st, mode, rs) ->
+          let where = Printf.sprintf "%s bucket %d" corpus i in
+          Alcotest.(check bool) (where ^ ": union_many = reference fold") true
+            (same_region (Regions.Region.union_many rs) (reference_union rs));
+          let entries =
+            List.map
+              (fun r ->
+                {
+                  Ipa.Summary.e_key = Ipa.Summary.Kglobal st;
+                  e_mode = mode;
+                  e_region = r;
+                  e_count = 1;
+                })
+              rs
+          in
+          Alcotest.(check bool) (where ^ ": add_entries = add_entry fold") true
+            (same_summary
+               (Ipa.Summary.add_entries [] entries)
+               (List.fold_left Ipa.Summary.add_entry [] entries)))
+        buckets)
     [ "lu"; "matrix"; "fig1"; "stride" ]
 
 let suite =
@@ -186,6 +199,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_intern_sound;
     QCheck_alcotest.to_alcotest prop_union_many;
     QCheck_alcotest.to_alcotest prop_builder;
-    Alcotest.test_case "corpora byte-identical (fast vs reference join)" `Slow
-      test_corpus_identity;
+    Alcotest.test_case "corpus join buckets = reference folds" `Quick
+      test_corpus_differential;
   ]

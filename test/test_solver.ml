@@ -178,7 +178,6 @@ let prop_learned_sequence =
     QCheck2.Gen.(pair gen_system (list_size (int_range 1 12) gen_constr))
     ~print:QCheck2.Print.(pair print_system (list print_constr))
     (fun (s, cs) ->
-      System.set_solver_core `Learned;
       System.clear_cache ();
       (* [s] contains [box] (x <= 6), so demanding x >= 10 is infeasible *)
       let infeas = System.add (Constr.ge (Expr.var x) (e_of_int 10)) s in
@@ -194,32 +193,32 @@ let prop_learned_sequence =
           && not (System.feasible infeas))
         cs)
 
-(* every solver core, at jobs 1 and 4, must emit the same project bytes *)
-let test_cores_jobs_identical () =
+(* the production core and reference mode, at jobs 1 and 4, must emit the
+   same project bytes *)
+let test_reference_jobs_identical () =
   List.iter
     (fun corpus ->
       let files = corpus_files corpus in
       let base = ref None in
       List.iter
-        (fun (core, core_name) ->
+        (fun (reference, mode) ->
           List.iter
             (fun jobs ->
-              System.set_solver_core core;
+              System.set_reference_mode reference;
               System.clear_cache ();
               let out =
                 Fun.protect
-                  ~finally:(fun () -> System.set_solver_core `Learned)
+                  ~finally:(fun () -> System.set_reference_mode false)
                   (fun () -> render (Engine.analyze ~jobs (lower files)))
               in
               let name =
-                Printf.sprintf "%s %s jobs=%d vs baseline" corpus core_name
-                  jobs
+                Printf.sprintf "%s %s jobs=%d vs baseline" corpus mode jobs
               in
               match !base with
               | None -> base := Some out
               | Some b -> check_same_output name b out)
             [ 1; 4 ])
-        [ (`Learned, "learned"); (`Packed, "packed"); (`Reference, "reference") ])
+        [ (false, "production"); (true, "reference") ])
     [ "lu"; "matrix" ]
 
 (* [clear_cache] must flush the learned contexts and activity tables along
@@ -265,8 +264,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_learned_sequence;
     Alcotest.test_case "corpora byte-identical (reference vs fast)" `Quick
       test_corpora_identical;
-    Alcotest.test_case "corpora byte-identical (3 cores x jobs 1/4)" `Quick
-      test_cores_jobs_identical;
+    Alcotest.test_case "corpora byte-identical (production vs reference x jobs 1/4)"
+      `Quick test_reference_jobs_identical;
     Alcotest.test_case "clear_cache leaves no cross-run state" `Quick
       test_no_cross_run_leak;
     Alcotest.test_case "solver stats count queries and memo hits" `Quick
