@@ -648,7 +648,7 @@ let bench_locality () =
     Ipa.Lno.interchange_pu m result.Ipa.Analyze.r_summaries pu
       ~want:(fun ~outer_ivar:_ ~inner_ivar:_ -> true)
   in
-  let after = misses { m with Whirl.Ir.m_pus = [ swapped ] } in
+  let after = misses (Whirl.Ir.with_pus m [ swapped ]) in
   Printf.printf
     "interchanged %d nest(s): misses %d -> %d (%.1fx fewer; 8 KB 2-way cache)\n"
     n before after

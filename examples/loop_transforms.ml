@@ -45,7 +45,7 @@ let () =
   let fused, n = Ipa.Lno.fuse_pu m summaries pu in
   Printf.printf "fused %d adjacent loop pair(s)\n" n;
   let before = Interp.run m in
-  let after = Interp.run { m with Whirl.Ir.m_pus = [ fused ] } in
+  let after = Interp.run (Whirl.Ir.with_pus m [ fused ]) in
   Printf.printf "output unchanged: %b\n"
     (String.equal before.Interp.out_text after.Interp.out_text);
 
@@ -55,7 +55,7 @@ let () =
         outer_ivar = "i" && inner_ivar = "j")
   in
   Printf.printf "interchanged %d nest(s)\n" ni;
-  let after_swap = Interp.run { m with Whirl.Ir.m_pus = [ swapped ] } in
+  let after_swap = Interp.run (Whirl.Ir.with_pus m [ swapped ]) in
   Printf.printf "output unchanged: %b\n"
     (String.equal before.Interp.out_text after_swap.Interp.out_text);
 

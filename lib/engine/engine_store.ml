@@ -54,12 +54,10 @@ let schema_token =
      with Sys_error _ -> "noexe")
 
 let create ?dir () =
-  (match dir with
-  | Some d ->
-    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-    let sub = Filename.concat d (Lazy.force schema_token) in
-    if not (Sys.file_exists sub) then Sys.mkdir sub 0o755
-  | None -> ());
+  (* processes sharing one cache directory may race to create it *)
+  Option.iter
+    (fun d -> Obs.Ledger.mkdir_p (Filename.concat d (Lazy.force schema_token)))
+    dir;
   { dir; mem = Hashtbl.create 64; mutex = Mutex.create (); diags = [] }
 
 let in_memory () = create ()

@@ -240,7 +240,20 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
       diags := List.rev_append r.Engine.e_diags !diags;
       stats := Some r.Engine.e_stats;
       ledger_acc.la_pus <- r.Engine.e_pus;
-      if cfg.stats then Format.printf "%a" Engine.Stats.pp r.Engine.e_stats;
+      (* also publishes the intern-table gauges for the metrics snapshot
+         and the ledger *)
+      let tables = Linear.Intern.tables () in
+      if cfg.stats then begin
+        Format.printf "%a" Engine.Stats.pp r.Engine.e_stats;
+        List.iter
+          (fun (name, (h : Linear.Intern.stats)) ->
+            Format.printf
+              "  intern %-6s %d bindings, %d/%d buckets occupied, max chain \
+               %d, shard %d..%d@\n"
+              name h.bindings h.occupied_buckets h.buckets h.max_chain
+              h.min_shard h.max_shard)
+          tables
+      end;
       if cfg.stats_det then
         Format.printf "%a" Engine.Stats.pp_deterministic r.Engine.e_stats;
       r.Engine.e_result
@@ -264,7 +277,7 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
             m.Whirl.Ir.m_pus
         in
         Printf.printf "lno: fused %d loop pair(s)\n" !total;
-        analyze { m with Whirl.Ir.m_pus = pus }
+        analyze (Whirl.Ir.with_pus m pus)
       end
     in
     let m = result.Ipa.Analyze.r_module in

@@ -28,11 +28,12 @@ let new_run_id () =
     (Unix.getpid () mod 1_000_000)
     (Atomic.fetch_and_add seq 1)
 
+(* a directory that a concurrent process creates between the check and
+   the mkdir is not an error *)
 let rec mkdir_p path =
   if path <> "" && path <> "/" && not (Sys.file_exists path) then begin
     mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ()
   end
 
 let record_path ~cache_dir ~run_id =

@@ -10,11 +10,14 @@ type pu = {
   pu_lang : Lang.Ast.language;
 }
 
+type pu_index = (string, pu) Hashtbl.t
+
 type module_ = {
   m_id : int;
   m_global : Symtab.t;
   m_pus : pu list;
   m_program : Lang.Sema.program;
+  m_index : pu_index;
 }
 
 let module_counter = ref 0
@@ -22,6 +25,26 @@ let module_counter = ref 0
 let fresh_module_id () =
   incr module_counter;
   !module_counter
+
+(* built once and never written again, so domains may read it unlocked;
+   the first PU of a name wins, as in a scan of [m_pus] *)
+let index pus =
+  let t = Hashtbl.create (List.length pus) in
+  List.iter
+    (fun p -> if not (Hashtbl.mem t p.pu_name) then Hashtbl.add t p.pu_name p)
+    pus;
+  t
+
+let make_module ~global ~program pus =
+  {
+    m_id = fresh_module_id ();
+    m_global = global;
+    m_pus = pus;
+    m_program = program;
+    m_index = index pus;
+  }
+
+let with_pus m pus = { m with m_pus = pus; m_index = index pus }
 
 let global_base = 0x4000_0000
 
@@ -39,7 +62,6 @@ let ty_of m pu idx =
 
 let st_name m pu idx = (st_entry m pu idx).Symtab.st_name
 
-let find_pu m name =
-  List.find_opt (fun p -> String.equal p.pu_name name) m.m_pus
+let find_pu m name = Hashtbl.find_opt m.m_index name
 
 let pu_count m = List.length m.m_pus

@@ -20,15 +20,26 @@ type pu = {
   pu_lang : Lang.Ast.language;
 }
 
-type module_ = {
+type pu_index
+(** Name -> PU, read-only once built. *)
+
+(** Private, so every module is built by {!make_module} or {!with_pus} and
+    its [m_index] always matches its [m_pus]. *)
+type module_ = private {
   m_id : int;  (** unique per lowering run: keys caches that must not be
                    shared between independently analyzed modules *)
   m_global : Symtab.t;
   m_pus : pu list;
   m_program : Lang.Sema.program;
+  m_index : pu_index;  (** answers {!find_pu} *)
 }
 
-val fresh_module_id : unit -> int
+val make_module :
+  global:Symtab.t -> program:Lang.Sema.program -> pu list -> module_
+(** A module with a fresh [m_id]. *)
+
+val with_pus : module_ -> pu list -> module_
+(** The same module (same [m_id], globals and program) over rewritten PUs. *)
 
 val global_base : int
 
@@ -42,5 +53,6 @@ val ty_of : module_ -> pu -> int -> Symtab.ty_kind
 val st_name : module_ -> pu -> int -> string
 
 val find_pu : module_ -> string -> pu option
+(** The first PU of [m_pus] with this name, in constant time. *)
 
 val pu_count : module_ -> int

@@ -308,4 +308,4 @@ let lower (prog : Sema.program) : Ir.module_ =
         })
       prog.Sema.prog_order
   in
-  { Ir.m_id = Ir.fresh_module_id (); m_global = global; m_pus = pus; m_program = prog }
+  Ir.make_module ~global ~program:prog pus

@@ -546,13 +546,7 @@ let parse text =
         prog_warnings = [];
       }
     in
-    Ok
-      {
-        Ir.m_id = Ir.fresh_module_id ();
-        m_global = global;
-        m_pus = List.rev !pus;
-        m_program = program;
-      }
+    Ok (Ir.make_module ~global ~program (List.rev !pus))
   with
   | Parse_error e -> Error e
   | Scanf.Scan_failure e -> Error e

@@ -260,4 +260,4 @@ let run (m : Ir.module_) =
         pu')
       m.Ir.m_pus
   in
-  ({ m with Ir.m_pus = pus }, !stats)
+  (Ir.with_pus m pus, !stats)

@@ -17,6 +17,9 @@ fi
 echo "== dune runtest =="
 OCAMLRUNPARAM=b dune runtest
 
+echo "== perfbench correctness gate (no build) =="
+python3 perfbench/test_run.py
+
 echo "== committed BENCH_*.json pass check-json =="
 # a committed record that no longer matches the bench schema or its gates
 # fails here, so stale files cannot linger

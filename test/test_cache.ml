@@ -183,10 +183,12 @@ let test_concurrent_writers () =
        entries into one cache directory *)
     let p1 = spawn 1 in
     let p2 = spawn 2 in
-    let st1, _ = drain_and_close p1 in
-    let st2, _ = drain_and_close p2 in
-    Alcotest.(check bool) "writer 1 exits 0" true (st1 = Unix.WEXITED 0);
-    Alcotest.(check bool) "writer 2 exits 0" true (st2 = Unix.WEXITED 0);
+    let st1, out1 = drain_and_close p1 in
+    let st2, out2 = drain_and_close p2 in
+    Alcotest.(check bool) ("writer 1 exits 0; its output:\n" ^ out1) true
+      (st1 = Unix.WEXITED 0);
+    Alcotest.(check bool) ("writer 2 exits 0; its output:\n" ^ out2) true
+      (st2 = Unix.WEXITED 0);
     List.iter
       (fun f ->
         Alcotest.(check bool)

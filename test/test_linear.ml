@@ -267,6 +267,44 @@ let prop_simplify_preserves =
     ~print:print_system (fun s ->
       System.equal_semantic s (System.simplify s))
 
+(* Every intern table must spread its bindings over its buckets and its
+   shards.  Taking the shard from the hash bits that [Hashtbl] also buckets
+   by leaves 63 of every 64 buckets of each shard empty, with chains over a
+   hundred long here.  The chain bound is not tighter because [Hashtbl]
+   lets a table fill to two bindings per bucket before it grows: at that
+   load, even a uniform hash over 10^5 buckets has a longest chain of
+   about 10. *)
+let test_intern_occupancy () =
+  (* region-shaped content: per procedure, a fresh loop variable i and
+     extent n, and the section 1 <= i + d <= n for five offsets d *)
+  let procs = 10_000 in
+  for _ = 1 to procs do
+    let i = Expr.var (Var.fresh ~name:"i" Var.Ivar) in
+    let n = Expr.var (Var.fresh ~name:"n" Var.Sym) in
+    for d = -2 to 2 do
+      let s = Expr.add_const (r d) i in
+      ignore (System.of_list [ Constr.ge s (e_of_int 1); Constr.le s n ])
+    done
+  done;
+  List.iter
+    (fun (name, (h : Intern.stats)) ->
+      if h.bindings < 5 * procs then
+        Alcotest.failf "%s: only %d bindings" name h.bindings;
+      let need = min h.bindings h.buckets / 2 in
+      if h.occupied_buckets < need then
+        Alcotest.failf "%s: %d of %d buckets occupied, need %d" name
+          h.occupied_buckets h.buckets need;
+      if h.max_chain > 16 then
+        Alcotest.failf "%s: longest chain %d > 16" name h.max_chain;
+      let mean = float_of_int h.bindings /. float_of_int Intern.shards in
+      if
+        float_of_int h.min_shard < 0.5 *. mean
+        || float_of_int h.max_shard > 2. *. mean
+      then
+        Alcotest.failf "%s: shard sizes %d..%d, mean %.0f" name h.min_shard
+          h.max_shard mean)
+    (Intern.tables ())
+
 let suite =
   [
     Alcotest.test_case "simplify" `Quick test_simplify;
@@ -290,4 +328,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_projection_rationally_exact;
     QCheck_alcotest.to_alcotest prop_includes_reflexive;
     QCheck_alcotest.to_alcotest prop_sample_satisfies;
+    Alcotest.test_case "intern tables spread over buckets and shards" `Quick
+      test_intern_occupancy;
   ]

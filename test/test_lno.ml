@@ -77,7 +77,7 @@ let test_fuse_pu_transforms () =
   Alcotest.(check int) "one fusion" 1 n;
   Alcotest.(check int) "one loop remains" 1 (List.length (find_loops pu'));
   (* and the fused program computes the same thing *)
-  let m' = { m with Whirl.Ir.m_pus = [ pu' ] } in
+  let m' = Whirl.Ir.with_pus m [ pu' ] in
   let before = Interp.run m and after = Interp.run m' in
   Alcotest.(check string) "same output" before.Interp.out_text
     after.Interp.out_text
@@ -220,7 +220,7 @@ let test_interchange_legal_and_transform () =
       Alcotest.(check string) "j outermost" "j" name
     | _ -> Alcotest.fail "expected one top loop after interchange");
     (* semantics preserved *)
-    let m' = { m with Whirl.Ir.m_pus = [ pu' ] } in
+    let m' = Whirl.Ir.with_pus m [ pu' ] in
     let before = Interp.run m and after = Interp.run m' in
     Alcotest.(check string) "same output" before.Interp.out_text
       after.Interp.out_text
@@ -337,7 +337,7 @@ let test_locality_interchange_reduces_misses () =
     let m =
       match pu_transform with
       | None -> m
-      | Some f -> { m with Whirl.Ir.m_pus = List.map f m.Whirl.Ir.m_pus }
+      | Some f -> Whirl.Ir.with_pus m (List.map f m.Whirl.Ir.m_pus)
     in
     let cache = Cache.create (Cache.two_way ~line_bytes:64 ~lines:64) in
     let _ =

@@ -73,6 +73,42 @@ let test_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated pu accepted"
 
+(* [find_pu] answers from an index built with the module, so after every
+   rewrite it must return the PU that is physically in [m_pus] -- the first
+   of its name, as a scan of [m_pus] does -- and never a stale one *)
+let test_find_pu_index () =
+  let scan m name =
+    List.find_opt (fun p -> p.Whirl.Ir.pu_name = name) m.Whirl.Ir.m_pus
+  in
+  let check what m =
+    List.iter
+      (fun p ->
+        let name = p.Whirl.Ir.pu_name in
+        match (Whirl.Ir.find_pu m name, scan m name) with
+        | Some a, Some b ->
+          Alcotest.(check bool) (what ^ ": " ^ name) true (a == b)
+        | _ -> Alcotest.failf "%s: %s not found" what name)
+      m.Whirl.Ir.m_pus;
+    Alcotest.(check bool) (what ^ ": unknown name") true
+      (Whirl.Ir.find_pu m "no_such_pu" = None)
+  in
+  let replaced m m' =
+    List.exists2 (fun p p' -> p != p') m.Whirl.Ir.m_pus m'.Whirl.Ir.m_pus
+  in
+  let m =
+    Whirl.Lower.lower (Lang.Frontend.load ~files:Corpus.Gen.(generate default))
+  in
+  check "lowered" m;
+  let m1, _ = Wopt.Const_prop.run m in
+  Alcotest.(check bool) "const_prop replaced PUs" true (replaced m m1);
+  check "const_prop" m1;
+  let m2, _ = Wopt.Dce.run m1 in
+  Alcotest.(check bool) "dce replaced PUs" true (replaced m1 m2);
+  check "dce" m2;
+  match Whirl.Whirl_io.parse (Whirl.Whirl_io.write m2) with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok m3 -> check "reloaded" m3
+
 let suite =
   [
     Alcotest.test_case "tree round trip" `Quick test_tree_roundtrip;
@@ -83,4 +119,6 @@ let suite =
       test_interp_equal_after_reload;
     Alcotest.test_case "floats bit-exact" `Quick test_floats_bit_exact;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "find_pu index follows rewrites" `Quick
+      test_find_pu_index;
   ]
