@@ -757,7 +757,7 @@ let json_escape s =
   Buffer.contents b
 
 let bench_solver ~json ~out () =
-  header "Solver: packed integer FM, learned contexts, memoized queries (NAS LU)";
+  header "Solver: packed integer FM, memoized queries (NAS LU)";
   let files = Corpus.Nas_lu.files () in
   let lower () = Whirl.Lower.lower (Lang.Frontend.load ~files) in
   (* throwaway run so frontend/layout paths are hot *)
@@ -806,15 +806,11 @@ let bench_solver ~json ~out () =
   Printf.printf
     "production breakdown: %d cache hit / %d miss, %d box-refuted, %d \
      syntactic, %d FM runs (%d rows built, %d pruned), fallbacks: %d \
-     tighten / %d overflow; small path: %d\n"
+     tighten / %d overflow\n"
     d.cache_hits d.cache_misses d.box_refutations d.syntactic_hits d.fm_runs
-    d.fm_rows_built d.fm_rows_pruned d.tighten_fallbacks d.overflow_fallbacks
-    d.small_runs;
-  Printf.printf
-    "learned contexts: %d contexts, %d cut hits, %d bound hits, %d proj \
-     hits, %d elims, %d reorders, %d L1 hits\n"
-    d.ctx_contexts d.ctx_cut_hits d.ctx_bound_hits d.ctx_proj_hits d.ctx_elims
-    d.ctx_activity_reorders d.implies_l1_hits;
+    d.fm_rows_built d.fm_rows_pruned d.tighten_fallbacks d.overflow_fallbacks;
+  Printf.printf "bounds/projection memos: %d bound hits, %d proj hits\n"
+    d.ctx_bound_hits d.ctx_proj_hits;
   (* ---- micro: harvested region systems through each query *)
   let systems =
     List.concat_map
@@ -872,20 +868,18 @@ let bench_solver ~json ~out () =
       systems
   in
   let feas_reference, _ = timed_mode ~reference:true feas_run in
-  let feas, d_feas = timed_mode ~reference:false feas_run in
+  let feas, _ = timed_mode ~reference:false feas_run in
   let impl_reference, _ = timed_mode ~reference:true impl_run in
   let impl, d_impl = timed_mode ~reference:false impl_run in
   let proj, _ = timed_mode ~reference:false proj_run in
   let speedup = feas_reference /. Float.max feas 1e-9 in
   Printf.printf
     "micro (%d systems x %d passes):\n\
-    \  feasible: reference %.4fs, production %.4fs (%d small-path) => %.1fx\n\
-    \  implies:  reference %.4fs, production %.4fs (%d cut hits, %d bound \
-     hits, %d L1 hits)\n\
+    \  feasible: reference %.4fs, production %.4fs => %.1fx\n\
+    \  implies:  reference %.4fs, production %.4fs (%d memo hits)\n\
     \  project:  %.4fs (exact eliminator, context-memoized)\n"
-    (List.length systems) passes feas_reference feas d_feas.small_runs speedup
-    impl_reference impl d_impl.ctx_cut_hits d_impl.ctx_bound_hits
-    d_impl.implies_l1_hits proj;
+    (List.length systems) passes feas_reference feas speedup impl_reference
+    impl d_impl.implies_memo_hits proj;
   (* ---- machine-readable record *)
   if json || out <> None then begin
     let path = Option.value out ~default:"BENCH_solver.json" in
@@ -916,14 +910,8 @@ let bench_solver ~json ~out () =
     bpf "        \"fm_rows_pruned\": %d,\n" d.fm_rows_pruned;
     bpf "        \"tighten_fallbacks\": %d,\n" d.tighten_fallbacks;
     bpf "        \"overflow_fallbacks\": %d,\n" d.overflow_fallbacks;
-    bpf "        \"small_runs\": %d,\n" d.small_runs;
-    bpf "        \"implies_l1_hits\": %d,\n" d.implies_l1_hits;
-    bpf "        \"ctx_contexts\": %d,\n" d.ctx_contexts;
-    bpf "        \"ctx_cut_hits\": %d,\n" d.ctx_cut_hits;
     bpf "        \"ctx_bound_hits\": %d,\n" d.ctx_bound_hits;
-    bpf "        \"ctx_proj_hits\": %d,\n" d.ctx_proj_hits;
-    bpf "        \"ctx_elims\": %d,\n" d.ctx_elims;
-    bpf "        \"ctx_activity_reorders\": %d\n" d.ctx_activity_reorders;
+    bpf "        \"ctx_proj_hits\": %d\n" d.ctx_proj_hits;
     bpf "      }\n";
     bpf "    },\n";
     bpf "    \"micro\": {\n";
@@ -931,7 +919,6 @@ let bench_solver ~json ~out () =
     bpf "      \"passes\": %d,\n" passes;
     bpf "      \"feasible_reference_s\": %.6f,\n" feas_reference;
     bpf "      \"feasible_s\": %.6f,\n" feas;
-    bpf "      \"small_runs\": %d,\n" d_feas.small_runs;
     bpf "      \"implies_reference_s\": %.6f,\n" impl_reference;
     bpf "      \"implies_s\": %.6f,\n" impl;
     bpf "      \"project_s\": %.6f,\n" proj;
@@ -1226,11 +1213,9 @@ let bench_regions ~json ~out () =
     (float_of_int d_ref.implies_wall_ns /. 1e6)
     ref_wall;
   Printf.printf
-    "production:     %d implies queries (%d memo hits, %d L1 hits, %d saved \
-     by interned ids; %d cut hits, %d bound hits, %d elims, %d reorders), \
-     %.3f ms implies wall (%.4fs total) => %.1fx%s\n"
-    d.implies_queries d.implies_memo_hits d.implies_l1_hits saved
-    d.ctx_cut_hits d.ctx_bound_hits d.ctx_elims d.ctx_activity_reorders
+    "production:     %d implies queries (%d memo hits, %d saved by interned \
+     ids), %.3f ms implies wall (%.4fs total) => %.1fx%s\n"
+    d.implies_queries d.implies_memo_hits saved
     (float_of_int d.implies_wall_ns /. 1e6)
     wall speedup
     (if speedup >= 2. then "" else "  (< 2x!)");
@@ -1245,9 +1230,8 @@ let bench_regions ~json ~out () =
   let e2e_wall = Unix.gettimeofday () -. t0 in
   let e2e = Linear.Solver_stats.diff (Linear.Solver_stats.snapshot ()) s0 in
   Printf.printf
-    "end-to-end: %d implies queries (%d memo hits, %d L1 hits) %.3f ms \
-     (%.4fs)\n"
-    e2e.implies_queries e2e.implies_memo_hits e2e.implies_l1_hits
+    "end-to-end: %d implies queries (%d memo hits) %.3f ms (%.4fs)\n"
+    e2e.implies_queries e2e.implies_memo_hits
     (float_of_int e2e.implies_wall_ns /. 1e6)
     e2e_wall;
   (* ---- interner effectiveness (process lifetime: tables never drop) *)
@@ -1285,17 +1269,12 @@ let bench_regions ~json ~out () =
     bpf "      \"production\": {\n";
     bpf "        \"implies_queries\": %d,\n" d.implies_queries;
     bpf "        \"implies_memo_hits\": %d,\n" d.implies_memo_hits;
-    bpf "        \"implies_l1_hits\": %d,\n" d.implies_l1_hits;
     bpf "        \"implies_wall_ns\": %d,\n" d.implies_wall_ns;
     bpf "        \"implies_saved\": %d,\n" saved;
     bpf "        \"union_calls\": %d,\n" unions;
     bpf "        \"union_many_calls\": %d,\n" many;
-    bpf "        \"ctx_contexts\": %d,\n" d.ctx_contexts;
-    bpf "        \"ctx_cut_hits\": %d,\n" d.ctx_cut_hits;
     bpf "        \"ctx_bound_hits\": %d,\n" d.ctx_bound_hits;
     bpf "        \"ctx_proj_hits\": %d,\n" d.ctx_proj_hits;
-    bpf "        \"ctx_elims\": %d,\n" d.ctx_elims;
-    bpf "        \"ctx_activity_reorders\": %d,\n" d.ctx_activity_reorders;
     bpf "        \"wall_s\": %.6f\n" wall;
     bpf "      },\n";
     bpf "      \"implies_speedup\": %.2f,\n" speedup;
@@ -1306,7 +1285,6 @@ let bench_regions ~json ~out () =
     bpf "    \"end_to_end\": {\n";
     bpf "      \"implies_queries\": %d,\n" e2e.implies_queries;
     bpf "      \"implies_memo_hits\": %d,\n" e2e.implies_memo_hits;
-    bpf "      \"implies_l1_hits\": %d,\n" e2e.implies_l1_hits;
     bpf "      \"implies_wall_ns\": %d,\n" e2e.implies_wall_ns;
     bpf "      \"analysis_wall_s\": %.6f\n" e2e_wall;
     bpf "    },\n";
@@ -1369,9 +1347,8 @@ let check_solver_json path doc =
     | Some (Obs.Json.Obj _ as p) ->
       check_fields p ~where:"solver.end_to_end.production"
         [
-          "feasible_wall_ns"; "implies_wall_ns"; "small_runs";
-          "implies_l1_hits"; "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits";
-          "ctx_proj_hits"; "ctx_elims"; "ctx_activity_reorders";
+          "feasible_wall_ns"; "implies_wall_ns"; "ctx_bound_hits";
+          "ctx_proj_hits";
         ]
     | _ -> check_fail "solver.end_to_end.production missing");
     check_fields micro ~where:"solver.micro"
@@ -1400,9 +1377,8 @@ let check_regions_json path doc =
     | Some (Obs.Json.Obj _ as p) ->
       check_fields p ~where:"regions.join.production"
         [
-          "implies_queries"; "implies_memo_hits"; "implies_l1_hits";
-          "implies_wall_ns"; "ctx_contexts"; "ctx_cut_hits"; "ctx_bound_hits";
-          "ctx_elims"; "ctx_activity_reorders";
+          "implies_queries"; "implies_memo_hits"; "implies_wall_ns";
+          "ctx_bound_hits";
         ]
     | _ -> check_fail "regions.join.production missing");
     let sp, spf = check_gate join ~where:"regions.join" "implies_speedup" in

@@ -14,10 +14,12 @@
      violation).  A fault with no covering row means the analysis missed
      the access entirely, reported as [uncovered].
 
-   Both counters must be zero for [ok=true].  The check is a pure
-   function of the module and the analysis result, so its report is
-   byte-identical across --jobs settings and solver modes like every
-   other client. *)
+   Both counters must be zero, and the run must have finished within its
+   fuel, for [ok=true]: a run that exhausted its step budget still has
+   its faults so far checked, but reports [completed=false] and a warning.
+   The check is a pure function of the module and the analysis result, so
+   its report is byte-identical across --jobs settings and solver modes
+   like every other client. *)
 
 open Whirl
 open Regions
@@ -30,8 +32,7 @@ let c_uncovered = Obs.Metrics.counter "analyses.diffcheck.uncovered"
 
 type verdicts = { mutable v_safe : int; mutable v_other : int }
 
-let run (ctx : Analysis.ctx) =
-  Obs.Span.with_ ~cat:"analysis" ~name:"analysis:diffcheck" @@ fun () ->
+let check (ctx : Analysis.ctx) ~completed (outcome : Interp.outcome) =
   let m = ctx.Analysis.ctx_module in
   let r = ctx.Analysis.ctx_result in
   (* verdict table: (proc, array, mode, line) -> safe/other row counts,
@@ -89,8 +90,6 @@ let run (ctx : Analysis.ctx) =
             | Mode.FORMAL | Mode.PASSED | Mode.RUSE | Mode.RDEF -> ())
           t.Ipa.Analyze.t_accesses)
     r.Ipa.Analyze.r_tables;
-  (* one recorded run; faults are collected, not trapped *)
-  let outcome = Interp.run ~record_oob:true m in
   let safe_faults = ref 0 and uncovered = ref 0 in
   let rows = ref [] in
   let diags = ref [] in
@@ -137,22 +136,37 @@ let run (ctx : Analysis.ctx) =
         :: !rows)
     outcome.Interp.out_oob;
   let n_oob = List.length outcome.Interp.out_oob in
-  let ok = !safe_faults = 0 && !uncovered = 0 in
+  if not completed then
+    diags :=
+      Fault.Diag.make ~severity:Fault.Diag.Warning ~site:"analysis.diffcheck"
+        ~pu:"*" ~action:"report"
+        (Printf.sprintf
+           "the interpreter exhausted its step budget after %d statements; \
+            only the %d out-of-bounds events seen before were checked"
+           outcome.Interp.out_steps n_oob)
+      :: !diags;
+  let ok = !safe_faults = 0 && !uncovered = 0 && completed in
   Obs.Metrics.Counter.add c_oob n_oob;
   Obs.Metrics.Counter.add c_safe_faults !safe_faults;
   Obs.Metrics.Counter.add c_uncovered !uncovered;
+  let summary =
+    [
+      ("verdict_rows", string_of_int !n_rows);
+      ("steps", string_of_int outcome.Interp.out_steps);
+    ]
+    (* only an exhausted run carries the key, so reports of runs that
+       finish keep their shape *)
+    @ (if completed then [] else [ ("completed", "false") ])
+    @ [
+        ("oob_events", string_of_int n_oob);
+        ("covered", string_of_int (n_oob - !uncovered));
+        ("uncovered", string_of_int !uncovered);
+        ("safe_faults", string_of_int !safe_faults);
+        ("ok", if ok then "true" else "false");
+      ]
+  in
   let report =
-    Report.make ~analysis:name
-      ~summary:
-        [
-          ("verdict_rows", string_of_int !n_rows);
-          ("steps", string_of_int outcome.Interp.out_steps);
-          ("oob_events", string_of_int n_oob);
-          ("covered", string_of_int (n_oob - !uncovered));
-          ("uncovered", string_of_int !uncovered);
-          ("safe_faults", string_of_int !safe_faults);
-          ("ok", if ok then "true" else "false");
-        ]
+    Report.make ~analysis:name ~summary
       ~columns:
         [
           "Proc"; "Array"; "Mode"; "Line"; "Coords"; "Kind"; "Covered";
@@ -161,3 +175,11 @@ let run (ctx : Analysis.ctx) =
       (List.rev !rows)
   in
   (report, List.rev !diags)
+
+let run (ctx : Analysis.ctx) =
+  Obs.Span.with_ ~cat:"analysis" ~name:"analysis:diffcheck" @@ fun () ->
+  (* one recorded run; faults are collected, not trapped, and running out
+     of fuel is reported rather than raised *)
+  match Interp.run ~record_oob:true ctx.Analysis.ctx_module with
+  | outcome -> check ctx ~completed:true outcome
+  | exception Interp.Out_of_fuel outcome -> check ctx ~completed:false outcome

@@ -243,6 +243,9 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
       (* also publishes the intern-table gauges for the metrics snapshot
          and the ledger *)
       let tables = Linear.Intern.tables () in
+      (* both blocks flush: stdout interleaves them with Printf output, and
+         Format's buffer is otherwise flushed at a point that depends on
+         whether the engine spawned domains *)
       if cfg.stats then begin
         Format.printf "%a" Engine.Stats.pp r.Engine.e_stats;
         List.iter
@@ -252,10 +255,11 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
                %d, shard %d..%d@\n"
               name h.bindings h.occupied_buckets h.buckets h.max_chain
               h.min_shard h.max_shard)
-          tables
+          tables;
+        Format.printf "@?"
       end;
       if cfg.stats_det then
-        Format.printf "%a" Engine.Stats.pp_deterministic r.Engine.e_stats;
+        Format.printf "%a@?" Engine.Stats.pp_deterministic r.Engine.e_stats;
       r.Engine.e_result
     in
     let result = analyze m0 in
@@ -339,11 +343,23 @@ let exec_body ~diags ~outputs ~stats ~reports ~ledger_acc (cfg : config) =
           Format.printf "@[<v>%a@]@?" Analyses.Report.render report)
         outcomes);
     if cfg.execute then begin
-      let outcome =
-        Obs.Span.with_ ~cat:"phase" ~name:"execute" (fun () -> Interp.run m)
+      let outcome, completed =
+        Obs.Span.with_ ~cat:"phase" ~name:"execute" (fun () ->
+            match Interp.run m with
+            | o -> (o, true)
+            | exception Interp.Out_of_fuel o -> (o, false))
       in
       print_string outcome.Interp.out_text;
-      Printf.printf "(%d statements executed)\n" outcome.Interp.out_steps;
+      Printf.printf "(%d statements executed%s)\n" outcome.Interp.out_steps
+        (if completed then "" else "; stopped: step budget exhausted");
+      if not completed then
+        diags :=
+          Fault.Diag.make ~site:"execute" ~pu:"*" ~action:"partial-output"
+            (Printf.sprintf
+               "the interpreter exhausted its step budget after %d \
+                statements; the output above is partial"
+               outcome.Interp.out_steps)
+          :: !diags;
       if cfg.dump_callgraph then begin
         (* the dynamic call graph with feedback information (Dragon Fig 5) *)
         let project =

@@ -13,7 +13,7 @@ type event = {
 }
 
 exception Runtime_error of string * Lang.Loc.t
-exception Out_of_fuel
+exception Fuel_exhausted
 exception Return_signal
 
 type dynamic_region = {
@@ -39,6 +39,8 @@ type outcome = {
   out_calls : ((string * string) * int) list;
   out_oob : oob list;
 }
+
+exception Out_of_fuel of outcome
 
 let error loc fmt = Format.kasprintf (fun s -> raise (Runtime_error (s, loc))) fmt
 
@@ -439,11 +441,11 @@ and format_io loc fmt args =
 (* Statements *)
 
 and tick state loc =
-  state.steps <- state.steps + 1;
-  if state.steps > state.fuel then begin
+  if state.steps >= state.fuel then begin
     ignore loc;
-    raise Out_of_fuel
-  end
+    raise Fuel_exhausted
+  end;
+  state.steps <- state.steps + 1
 
 and exec state frame (w : Wn.t) : unit =
   match w.Wn.operator with
@@ -627,7 +629,11 @@ let run ?(fuel = 50_000_000) ?(observer = fun _ -> ()) ?(record_oob = false)
   allocate_globals state;
   let entry_pu = find_entry m entry in
   let frame = { fr_pu = entry_pu; fr_slots = Hashtbl.create 16 } in
-  (try exec state frame entry_pu.Ir.pu_body with Return_signal -> ());
+  let completed =
+    match exec state frame entry_pu.Ir.pu_body with
+    | () | (exception Return_signal) -> true
+    | exception Fuel_exhausted -> false
+  in
   let out_regions =
     Hashtbl.fold
       (fun (scope, array, mode) (section, count) acc ->
@@ -641,12 +647,15 @@ let run ?(fuel = 50_000_000) ?(observer = fun _ -> ()) ?(record_oob = false)
         :: acc)
       state.sections []
   in
-  {
-    out_text = Buffer.contents state.out;
-    out_steps = state.steps;
-    out_regions;
-    out_calls =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) state.calls []
-      |> List.sort compare;
-    out_oob = List.rev state.oobs;
-  }
+  let outcome =
+    {
+      out_text = Buffer.contents state.out;
+      out_steps = state.steps;
+      out_regions;
+      out_calls =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) state.calls []
+        |> List.sort compare;
+      out_oob = List.rev state.oobs;
+    }
+  in
+  if completed then outcome else raise (Out_of_fuel outcome)

@@ -24,7 +24,6 @@ type event = {
 }
 
 exception Runtime_error of string * Lang.Loc.t
-exception Out_of_fuel
 
 type dynamic_region = {
   dr_scope : string;
@@ -59,6 +58,10 @@ type outcome = {
           without [~record_oob:true] (the run traps instead) *)
 }
 
+exception Out_of_fuel of outcome
+(** The run exhausted its fuel; the outcome describes it up to that point
+    ([out_steps] equals the fuel). *)
+
 val run :
   ?fuel:int ->
   ?observer:(event -> unit) ->
@@ -78,4 +81,5 @@ val run :
     @raise Runtime_error on out-of-bounds accesses (unless recording), bad
     argument counts, unallocatable (variable-length) local arrays, and type
     confusion.
-    @raise Out_of_fuel when the budget is exhausted. *)
+    @raise Out_of_fuel when the budget is exhausted, carrying the partial
+    outcome. *)

@@ -323,7 +323,7 @@ let popcount n =
    shared history and prune sound rows) has more than [step + 1] members is
    redundant and dropped.  No tightening happens here: Imbert's theorem is
    about exact conic combinations, so tightened rows would void it. *)
-let rec ineq_phase ?prio step rows =
+let rec ineq_phase step rows =
   match rows with
   | [] -> ()
   | _ ->
@@ -355,30 +355,7 @@ let rec ineq_phase ?prio step rows =
             best := Some (id, cost))
       occ;
     let v =
-      match !best with
-      | None -> assert false
-      | Some (bid, bcost) -> (
-        match prio with
-        | None -> bid
-        | Some act ->
-          (* activity override: among the variables whose elimination cost
-             is within 2x of the cheapest, prefer the most active one
-             (ties: smallest id).  Any order is exact for FM, so this only
-             redistributes work, never changes the answer. *)
-          let limit = 2 * bcost in
-          let chosen = ref (bid, act bid) in
-          Hashtbl.iter
-            (fun id (nl, nu) ->
-              let cost = !nl * !nu in
-              if cost <= limit then begin
-                let a = act id in
-                let cid, ca = !chosen in
-                if a > ca || (a = ca && id < cid) then chosen := (id, a)
-              end)
-            occ;
-          let cid, _ = !chosen in
-          if cid <> bid then Solver_stats.ctx_activity_reorder ();
-          cid)
+      match !best with None -> assert false | Some (bid, _) -> bid
     in
     let lows, ups, free =
       List.fold_left
@@ -435,9 +412,9 @@ let rec ineq_phase ?prio step rows =
     Solver_stats.fm_rows_built !built;
     Solver_stats.fm_rows_pruned !pruned;
     let next = Hashtbl.fold (fun _ r acc -> r :: acc) dom [] in
-    ineq_phase ?prio (step + 1) next
+    ineq_phase (step + 1) next
 
-let feasible ?prio ~tighten rows =
+let feasible ~tighten rows =
   Solver_stats.fm_run ();
   let strict = ref false in
   try
@@ -458,14 +435,8 @@ let feasible ?prio ~tighten rows =
       if n <= 62 then List.mapi (fun i r -> { r with anc = 1 lsl i }) rows
       else rows
     in
-    ineq_phase ?prio 1 rows;
+    ineq_phase 1 rows;
     Feasible
   with Infeasible_exc ->
     if !strict then Infeasible_tightened else Infeasible
 
-(* ---------- row introspection (learned contexts) ---------- *)
-
-let row_ids r = r.ids
-let row_coeffs r = r.cs
-let row_const r = r.k
-let row_is_eq r = r.eq

@@ -20,27 +20,6 @@ val pack : Constr.t list -> t
 
 val pack_constr : Constr.t -> row
 
-(** {2 Row introspection}
-
-    Read-only access for the learned solver contexts ({!Context}), which
-    key their direction tables on a row's normalized linear part.  The
-    returned arrays are the row's own — callers must not mutate them. *)
-
-val row_ids : row -> int array
-(** Strictly increasing variable ids. *)
-
-val row_coeffs : row -> int array
-(** Non-zero integer coefficients, parallel to [row_ids]. *)
-
-val row_const : row -> int
-val row_is_eq : row -> bool
-
-val is_const : row -> bool
-(** No variables: the row is a constant fact. *)
-
-val const_infeasible : row -> bool
-(** A constant row that is unsatisfiable on its own. *)
-
 (** {2 Interval bounding boxes} *)
 
 type box
@@ -71,15 +50,9 @@ type outcome =
           may still be feasible; re-run with [~tighten:false] for the exact
           answer *)
 
-val feasible : ?prio:(int -> float) -> tighten:bool -> t -> outcome
+val feasible : tighten:bool -> t -> outcome
 (** Fourier-Motzkin feasibility over the packed rows.  With
     [~tighten:false] the answer is exactly rational feasibility; with
     [~tighten:true] GCD tightening shortens eliminations but a refutation
     that involved strict tightening is reported as [Infeasible_tightened].
-
-    [?prio] supplies a per-variable activity score: among variables whose
-    elimination cost is within 2x of the cheapest, the most active one is
-    eliminated first (learned contexts seed this with conflict activity).
-    Any elimination order is exact, so [prio] never changes the outcome —
-    overridden picks are counted in [Solver_stats.ctx_activity_reorders].
     @raise Numeric.Rat.Overflow on integer overflow. *)

@@ -6,17 +6,15 @@
    time — they measure solver work, not latency).
 
    [quiet] suppresses counting on the calling domain: System uses it when
-   it re-computes a query another domain already computed (per-domain memo
-   caches), and for every elimination the learned contexts trigger (whether
-   a context answers by a learned cut or pays an elimination depends on
-   query arrival order), which keeps every counter outside the ctx_* group
+   a domain re-computes a query whose memo entry another domain already
+   claimed, which keeps every counter outside the ctx_* group
    scheduling-independent — each distinct system is counted exactly once
    however the engine's pool interleaves the work.
 
-   The ctx_* counters and [implies_l1_hits] are throughput telemetry for
-   the learned core: they are bumped unconditionally (including under
-   [quiet]) because the work they count only exists on scheduling-dependent
-   paths, and they are deliberately excluded from [pp_deterministic]. *)
+   The ctx_* counters are telemetry for the bounds/projection memos in
+   {!System} (the prefix predates them living there): they are bumped unconditionally (including under [quiet])
+   because whether a racing query hits depends on arrival order, and they
+   are deliberately excluded from [pp_deterministic]. *)
 
 type t = {
   queries : int;  (* System.feasible entry points answered *)
@@ -30,20 +28,13 @@ type t = {
   tighten_fallbacks : int;  (* GCD tightening refuted; exact rerun needed *)
   overflow_fallbacks : int;  (* packed arithmetic overflowed; used reference *)
   reference_runs : int;  (* queries answered by the reference path *)
-  small_runs : int;  (* tiny systems routed straight to the reference
-                        eliminator (packed setup costs more than it saves) *)
   wall_fast_ns : int;  (* time inside fast-path feasible queries *)
   wall_reference_ns : int;  (* time inside reference-path feasible queries *)
   implies_queries : int;  (* System.implies entry points answered *)
   implies_memo_hits : int;  (* derived: queries - fresh computes *)
   implies_wall_ns : int;  (* time inside computed implies queries *)
-  implies_l1_hits : int;  (* answered by a per-domain L1 table (untimed) *)
-  ctx_contexts : int;  (* learned contexts created *)
-  ctx_cut_hits : int;  (* queries refuted by a learned Farkas cut *)
-  ctx_bound_hits : int;  (* queries answered by a learned bound/witness *)
-  ctx_proj_hits : int;  (* projections served from a context *)
-  ctx_elims : int;  (* eliminations paid inside contexts *)
-  ctx_activity_reorders : int;  (* FM picks overridden by activity order *)
+  ctx_bound_hits : int;  (* bounds served from the memo *)
+  ctx_proj_hits : int;  (* projections served from the memo *)
 }
 
 let c_queries = Obs.Metrics.counter "solver.queries"
@@ -57,29 +48,21 @@ let c_fm_rows_pruned = Obs.Metrics.counter "solver.fm.rows_pruned"
 let c_tighten_fallbacks = Obs.Metrics.counter "solver.fallback.tighten"
 let c_overflow_fallbacks = Obs.Metrics.counter "solver.fallback.overflow"
 let c_reference_runs = Obs.Metrics.counter "solver.reference.runs"
-let c_small_runs = Obs.Metrics.counter "solver.small_runs"
 let c_wall_fast_ns = Obs.Metrics.counter "solver.wall.fast_ns"
 let c_wall_reference_ns = Obs.Metrics.counter "solver.wall.reference_ns"
 let c_implies_queries = Obs.Metrics.counter "solver.implies.queries"
 let c_implies_fresh = Obs.Metrics.counter "solver.implies.fresh"
 let c_implies_wall_ns = Obs.Metrics.counter "solver.implies.wall_ns"
-let c_implies_l1_hits = Obs.Metrics.counter "solver.implies.l1_hits"
-let c_ctx_contexts = Obs.Metrics.counter "solver.ctx.contexts"
-let c_ctx_cut_hits = Obs.Metrics.counter "solver.ctx.cut_hits"
 let c_ctx_bound_hits = Obs.Metrics.counter "solver.ctx.bound_hits"
 let c_ctx_proj_hits = Obs.Metrics.counter "solver.ctx.proj_hits"
-let c_ctx_elims = Obs.Metrics.counter "solver.ctx.elims"
-let c_ctx_reorders = Obs.Metrics.counter "solver.ctx.activity_reorders"
 
 let all =
   [
     c_queries; c_cache_hits; c_cache_misses; c_box_refutations;
     c_syntactic_hits; c_fm_runs; c_fm_rows_built; c_fm_rows_pruned;
     c_tighten_fallbacks; c_overflow_fallbacks; c_reference_runs;
-    c_small_runs; c_wall_fast_ns; c_wall_reference_ns; c_implies_queries;
-    c_implies_fresh; c_implies_wall_ns; c_implies_l1_hits; c_ctx_contexts;
-    c_ctx_cut_hits; c_ctx_bound_hits; c_ctx_proj_hits; c_ctx_elims;
-    c_ctx_reorders;
+    c_wall_fast_ns; c_wall_reference_ns; c_implies_queries; c_implies_fresh;
+    c_implies_wall_ns; c_ctx_bound_hits; c_ctx_proj_hits;
   ]
 
 (* Per-domain suppression flag for [quiet]. *)
@@ -107,21 +90,15 @@ let fm_rows_pruned n = add c_fm_rows_pruned n
 let tighten_fallback () = bump c_tighten_fallbacks
 let overflow_fallback () = bump c_overflow_fallbacks
 let reference_run () = bump c_reference_runs
-let small_run () = bump c_small_runs
 let add_fast_ns n = add c_wall_fast_ns n
 let add_reference_ns n = add c_wall_reference_ns n
 let implies_query () = bump c_implies_queries
 let implies_fresh () = bump c_implies_fresh
 let add_implies_ns n = add c_implies_wall_ns n
 
-(* Learned-core telemetry: unconditional (see the module comment). *)
-let implies_l1_hit () = Obs.Metrics.Counter.incr c_implies_l1_hits
-let ctx_context () = Obs.Metrics.Counter.incr c_ctx_contexts
-let ctx_cut_hit () = Obs.Metrics.Counter.incr c_ctx_cut_hits
+(* Memo telemetry: unconditional (see the module comment). *)
 let ctx_bound_hit () = Obs.Metrics.Counter.incr c_ctx_bound_hits
 let ctx_proj_hit () = Obs.Metrics.Counter.incr c_ctx_proj_hits
-let ctx_elim () = Obs.Metrics.Counter.incr c_ctx_elims
-let ctx_activity_reorder () = Obs.Metrics.Counter.incr c_ctx_reorders
 
 let get = Obs.Metrics.Counter.get
 
@@ -140,23 +117,16 @@ let snapshot () =
     tighten_fallbacks = get c_tighten_fallbacks;
     overflow_fallbacks = get c_overflow_fallbacks;
     reference_runs = get c_reference_runs;
-    small_runs = get c_small_runs;
     wall_fast_ns = get c_wall_fast_ns;
     wall_reference_ns = get c_wall_reference_ns;
     implies_queries;
-    (* every entry point either computes freshly (counted in
-       solver.implies.fresh) or was answered by a memo layer — global or
-       per-domain L1 — so hits are derived and stay scheduling-independent
-       even though which layer answered is not *)
+    (* every entry point either claims a fresh memo key (counted in
+       solver.implies.fresh) or finds it claimed, so hits are derived and
+       stay scheduling-independent *)
     implies_memo_hits = implies_queries - implies_fresh;
     implies_wall_ns = get c_implies_wall_ns;
-    implies_l1_hits = get c_implies_l1_hits;
-    ctx_contexts = get c_ctx_contexts;
-    ctx_cut_hits = get c_ctx_cut_hits;
     ctx_bound_hits = get c_ctx_bound_hits;
     ctx_proj_hits = get c_ctx_proj_hits;
-    ctx_elims = get c_ctx_elims;
-    ctx_activity_reorders = get c_ctx_reorders;
   }
 
 let diff a b =
@@ -172,19 +142,13 @@ let diff a b =
     tighten_fallbacks = a.tighten_fallbacks - b.tighten_fallbacks;
     overflow_fallbacks = a.overflow_fallbacks - b.overflow_fallbacks;
     reference_runs = a.reference_runs - b.reference_runs;
-    small_runs = a.small_runs - b.small_runs;
     wall_fast_ns = a.wall_fast_ns - b.wall_fast_ns;
     wall_reference_ns = a.wall_reference_ns - b.wall_reference_ns;
     implies_queries = a.implies_queries - b.implies_queries;
     implies_memo_hits = a.implies_memo_hits - b.implies_memo_hits;
     implies_wall_ns = a.implies_wall_ns - b.implies_wall_ns;
-    implies_l1_hits = a.implies_l1_hits - b.implies_l1_hits;
-    ctx_contexts = a.ctx_contexts - b.ctx_contexts;
-    ctx_cut_hits = a.ctx_cut_hits - b.ctx_cut_hits;
     ctx_bound_hits = a.ctx_bound_hits - b.ctx_bound_hits;
     ctx_proj_hits = a.ctx_proj_hits - b.ctx_proj_hits;
-    ctx_elims = a.ctx_elims - b.ctx_elims;
-    ctx_activity_reorders = a.ctx_activity_reorders - b.ctx_activity_reorders;
   }
 
 let reset () = List.iter (fun c -> Obs.Metrics.Counter.set c 0) all
@@ -202,19 +166,13 @@ let to_alist t =
     ("tighten_fallbacks", t.tighten_fallbacks);
     ("overflow_fallbacks", t.overflow_fallbacks);
     ("reference_runs", t.reference_runs);
-    ("small_runs", t.small_runs);
     ("wall_fast_ns", t.wall_fast_ns);
     ("wall_reference_ns", t.wall_reference_ns);
     ("implies_queries", t.implies_queries);
     ("implies_memo_hits", t.implies_memo_hits);
     ("implies_wall_ns", t.implies_wall_ns);
-    ("implies_l1_hits", t.implies_l1_hits);
-    ("ctx_contexts", t.ctx_contexts);
-    ("ctx_cut_hits", t.ctx_cut_hits);
     ("ctx_bound_hits", t.ctx_bound_hits);
     ("ctx_proj_hits", t.ctx_proj_hits);
-    ("ctx_elims", t.ctx_elims);
-    ("ctx_activity_reorders", t.ctx_activity_reorders);
   ]
 
 let pp_counters ppf t =
@@ -224,19 +182,17 @@ let pp_counters ppf t =
     t.queries t.cache_hits t.cache_misses t.box_refutations t.syntactic_hits;
   Format.fprintf ppf
     "  FM: %d runs, %d rows built, %d pruned; fallbacks: %d tighten, %d \
-     overflow, %d reference; small path: %d@\n"
+     overflow, %d reference@\n"
     t.fm_runs t.fm_rows_built t.fm_rows_pruned t.tighten_fallbacks
-    t.overflow_fallbacks t.reference_runs t.small_runs;
+    t.overflow_fallbacks t.reference_runs;
   Format.fprintf ppf "  implies: %d queries (%d memo hit)@\n" t.implies_queries
     t.implies_memo_hits
 
 let pp ppf t =
   pp_counters ppf t;
   Format.fprintf ppf
-    "  learned: %d contexts, %d cut hits, %d bound hits, %d proj hits, %d \
-     elims, %d reorders, %d L1 hits@\n"
-    t.ctx_contexts t.ctx_cut_hits t.ctx_bound_hits t.ctx_proj_hits t.ctx_elims
-    t.ctx_activity_reorders t.implies_l1_hits;
+    "  memos: %d bound hits, %d proj hits@\n"
+    t.ctx_bound_hits t.ctx_proj_hits;
   Format.fprintf ppf
     "  feasible wall: fast %.3f ms, reference %.3f ms; implies wall %.3f \
      ms@\n"
@@ -245,8 +201,8 @@ let pp ppf t =
     (float_of_int t.implies_wall_ns /. 1e6)
 
 let pp_deterministic ppf t =
-  (* everything but the wall-clock sums and the learned-core telemetry
-     line: those counters depend on timing/scheduling (which memo layer or
-     learned fact answered a racing query), the rest are
-     scheduling-independent (see [quiet]) *)
+  (* everything but the wall-clock sums and the memo telemetry line: those
+     depend on timing/scheduling (whether a racing query found the memo
+     entry yet), the rest are scheduling-independent (see
+     [quiet]) *)
   pp_counters ppf t

@@ -1,21 +1,19 @@
-(** Process-wide counters for the fast solver layer in {!System}.
+(** Process-wide counters for the solver layer in {!System}.
 
     Every counter is an ["solver.*"] metric in the {!Obs.Metrics} registry
     (this module is a facade over it), atomic so engine worker domains can
     update them without locks.  [snapshot]/[diff] let callers (the engine,
     the bench harness) attribute counter deltas to a particular run.
 
-    All counters except the wall-clock sums, [implies_l1_hits] and the
-    [ctx_*] group are scheduling-independent: when a worker domain
-    re-computes a query that another domain's memo already answered — or
-    when the learned core pays an elimination whose necessity depends on
-    query arrival order — {!System} wraps the compute in {!quiet}, so each
-    distinct system contributes to [cache_misses], [fm_runs], the row
-    counts and the fallback counters exactly once however the pool
-    interleaves the work — [--stats] counter output is identical at any
-    [--jobs] setting.  The learned-core telemetry ([ctx_*],
-    [implies_l1_hits]) counts scheduling-dependent work by design and is
-    excluded from {!pp_deterministic}. *)
+    All counters except the wall-clock sums and the [ctx_*] group are
+    scheduling-independent: the first domain to reach a memo key claims it
+    and computes loudly, and a domain that re-computes a key another domain
+    already claimed runs under {!quiet}, so each distinct system
+    contributes to [cache_misses], [fm_runs], the row counts and the
+    fallback counters exactly once however the pool interleaves the work —
+    [--stats] counter output is identical at any [--jobs] setting.  The
+    bounds/projection memo telemetry ([ctx_*]) depends on arrival order by
+    design and is excluded from {!pp_deterministic}. *)
 
 type t = {
   queries : int;  (** [System.feasible] entry points answered *)
@@ -32,38 +30,18 @@ type t = {
   overflow_fallbacks : int;
       (** packed arithmetic overflowed; query used the reference path *)
   reference_runs : int;  (** queries answered by the reference path *)
-  small_runs : int;
-      (** feasibility queries routed straight to the reference eliminator
-          because the system is below the small-system threshold (packed
-          setup costs more than it saves there) *)
   wall_fast_ns : int;  (** nanoseconds inside fast-path feasible queries *)
   wall_reference_ns : int;
       (** nanoseconds inside reference-path feasible queries *)
   implies_queries : int;  (** [System.implies] entry points answered *)
   implies_memo_hits : int;
-      (** implies queries answered by a memo layer (the global
-          (system id, constraint id) memo or a per-domain L1 table).
-          Derived as [implies_queries - fresh computes], which keeps the
-          total scheduling-independent even though which layer answered a
-          racing query is not *)
-  implies_wall_ns : int;
-      (** nanoseconds inside computed [System.implies] queries; L1 hits
-          are deliberately untimed (the clock reads would cost more than
-          the lookup) *)
-  implies_l1_hits : int;
-      (** implies queries answered by the calling domain's L1 table;
-          scheduling-dependent, excluded from {!pp_deterministic} *)
-  ctx_contexts : int;  (** learned solver contexts created *)
-  ctx_cut_hits : int;
-      (** assumption queries refuted by a learned Farkas cut (a recorded
-          infeasibility threshold dominating the query) *)
-  ctx_bound_hits : int;
-      (** assumption queries answered by a learned feasibility witness, or
-          bounds served from a context *)
-  ctx_proj_hits : int;  (** projections served from a context *)
-  ctx_elims : int;  (** eliminations paid inside learned contexts *)
-  ctx_activity_reorders : int;
-      (** FM variable picks where activity overrode the min-cost order *)
+      (** implies queries that found their (system id, constraint id) key
+          already claimed in the memo.  Derived as [implies_queries - fresh
+          computes], so the total is scheduling-independent *)
+  implies_wall_ns : int;  (** nanoseconds inside [System.implies] queries *)
+  ctx_bound_hits : int;  (** [System.bounds] results served from the memo *)
+  ctx_proj_hits : int;
+      (** [System.project_onto] results served from the memo *)
 }
 
 val query : unit -> unit
@@ -77,7 +55,6 @@ val fm_rows_pruned : int -> unit
 val tighten_fallback : unit -> unit
 val overflow_fallback : unit -> unit
 val reference_run : unit -> unit
-val small_run : unit -> unit
 val add_fast_ns : int -> unit
 val add_reference_ns : int -> unit
 val implies_query : unit -> unit
@@ -88,16 +65,11 @@ val implies_fresh : unit -> unit
 
 val add_implies_ns : int -> unit
 
-(** Learned-core telemetry: bumped unconditionally, including under
-    {!quiet} (see the determinism note above). *)
+(** Bounds/projection memo telemetry: bumped unconditionally, including
+    under {!quiet} (see the determinism note above). *)
 
-val implies_l1_hit : unit -> unit
-val ctx_context : unit -> unit
-val ctx_cut_hit : unit -> unit
 val ctx_bound_hit : unit -> unit
 val ctx_proj_hit : unit -> unit
-val ctx_elim : unit -> unit
-val ctx_activity_reorder : unit -> unit
 
 val snapshot : unit -> t
 (** Current counter values. *)
@@ -112,8 +84,11 @@ val to_alist : t -> (string * int) list
 
 val quiet : (unit -> 'a) -> 'a
 (** Run [f] with counting suppressed on the calling domain ({!System} uses
-    this for redundant cross-domain recomputes and for learned-context
-    eliminations; see the determinism note above). *)
+    this for redundant cross-domain recomputes; see the determinism note
+    above). *)
+
+val counting : unit -> bool
+(** [false] inside {!quiet} on the calling domain. *)
 
 val reset : unit -> unit
 (** Zero every counter (bench harness only; the engine uses [diff]). *)
@@ -121,6 +96,6 @@ val reset : unit -> unit
 val pp : Format.formatter -> t -> unit
 
 val pp_deterministic : Format.formatter -> t -> unit
-(** Like [pp] without the wall-clock and learned-core telemetry lines —
+(** Like [pp] without the wall-clock and memo telemetry lines —
     every printed number is scheduling-independent, so the output is
     diffable in CI. *)

@@ -3,9 +3,7 @@ open Numeric
 (* Hash-consed canonical form: [cs] is sorted by Constr.compare,
    deduplicated, free of trivially-true members; [id] is the intern id of
    that constraint list, so equality of systems is one integer comparison
-   and the solver memos key on ints instead of serialized strings.  [pk]
-   caches the packed-row translation of [cs] (immutable once built): it is
-   computed at most once per process instead of once per query.
+   and the solver memos key on ints instead of serialized strings.
 
    Ids are allocation-order dependent (parallel domains intern in racy
    order), so nothing rendered, persisted or ordered may depend on them:
@@ -13,12 +11,7 @@ open Numeric
    stay content-serialized ([key_of]), and the engine's cache digests stay
    content-based. *)
 
-type pk_state =
-  | Pk_unknown
-  | Pk_rows of Packed.t
-  | Pk_unpackable  (* non-integer coefficient or overflow at pack time *)
-
-type t = { id : int; cs : Constr.t list; pk : pk_state Atomic.t }
+type t = { id : int; cs : Constr.t list }
 
 module I = Intern.Make (struct
   type nonrec t = t
@@ -33,7 +26,7 @@ module I = Intern.Make (struct
 end)
 
 (* [cs] must already be in canonical (normalized) form. *)
-let intern_norm cs = I.intern { id = -1; cs; pk = Atomic.make Pk_unknown }
+let intern_norm cs = I.intern { id = -1; cs }
 
 let false_constraint = Constr.make (Expr.of_int 1) Constr.Le
 
@@ -76,7 +69,7 @@ let map_vars f t = of_list (List.map (Constr.map_vars f) t.cs)
    This eliminator also backs [project_onto]/[bounds]/[sample], whose
    results are rendered into .rgn files — it stays the single source of
    truth for anything output-sensitive.  Only answer-only queries below go
-   through the packed fast path. *)
+   through the packed solver. *)
 let elim_l v cs =
   let mentions, free = List.partition (Constr.mem v) cs in
   match
@@ -179,7 +172,7 @@ let ref_includes a b = List.for_all (fun c -> ref_implies b c) a.cs
 let ref_disjoint a b = not (ref_feasible_l (norm_l (List.rev_append a.cs b.cs)))
 let ref_equal_semantic a b = ref_includes a b && ref_includes b a
 
-(* ---------- fast query layer ---------- *)
+(* ---------- query layer ---------- *)
 
 let use_reference = Atomic.make false
 let use_cache = Atomic.make true
@@ -193,16 +186,6 @@ let use_cache = Atomic.make true
    Degraded answers are never memoized, so turning the budget off restores
    exact answers immediately. *)
 let step_budget = Atomic.make (-1)
-
-(* Small-system threshold: at or below this [query_cost], packed setup
-   (pack + box build + row allocation) is not worth paying and [feasible]
-   routes the query straight to the reference eliminator.  The balance is
-   host-dependent — a threshold sweep over the NAS LU region systems put
-   the crossover at cost 2 (single-row systems) on the reference host,
-   with larger values a mild pessimization — so the default stays at the
-   measured crossover and [set_small_threshold] exposes the knob.  Each
-   routing is recorded in [Solver_stats.small_runs]. *)
-let small_threshold = Atomic.make 2
 
 (* The guard below runs on every implies query, so the conjunction over
    the cold knobs is cached in one atomic refreshed by the setters.
@@ -232,8 +215,6 @@ let set_step_budget n =
   | Some n -> Atomic.set step_budget (max 0 n));
   refresh_memo_ok ()
 
-let set_small_threshold n = Atomic.set small_threshold (max 0 n)
-
 let query_cost t = List.length t.cs * (1 + Var.Set.cardinal (vars t))
 
 let over_budget t =
@@ -242,104 +223,89 @@ let over_budget t =
 
 let c_degraded = Obs.Metrics.counter "solver.degraded"
 
-(* Packed rows, computed once per interned system.  Rows are immutable
-   after [Packed.pack]; a racing duplicate compute stores an equivalent
-   value, so a plain atomic set suffices.  [None] = not packable (cached
-   too).  [Packed.pack] maintains no Solver_stats counters, so caching it
-   does not change any counted totals. *)
+(* Packed rows of a system, [None] when a coefficient does not pack. *)
 let packed_rows t =
-  match Atomic.get t.pk with
-  | Pk_rows rows -> Some rows
-  | Pk_unpackable -> None
-  | Pk_unknown -> (
-    match Packed.pack t.cs with
-    | rows ->
-      Atomic.set t.pk (Pk_rows rows);
-      Some rows
-    | exception (Packed.Not_packable | Rat.Overflow) ->
-      Atomic.set t.pk Pk_unpackable;
-      None)
+  match Packed.pack t.cs with
+  | rows -> Some rows
+  | exception (Packed.Not_packable | Rat.Overflow) -> None
 
 let box_feasible t =
   match packed_rows t with
   | None -> true
   | Some rows -> ( match Packed.box_of rows with None -> false | Some _ -> true)
 
-(* Memo table for [feasible], one per domain (no locks, deterministic),
-   keyed by intern id.  Every table ever handed out is kept in a registry
-   so [clear_cache] can drop them all: the engine's worker domains are
-   persistent, and a clear that only reached the calling domain would
-   leave answers from earlier runs influencing the hit/miss accounting of
-   later ones. *)
-let all_tables : (int, bool) Hashtbl.t list ref = ref []
-let all_tables_mutex = Mutex.create ()
+(* One shared memo per query kind: [feasible] keyed by system id, [implies]
+   by (system id, constraint id).  The first domain to reach a key claims
+   it with a [Pending] entry, counts it as fresh, computes loudly and
+   settles the entry; a later arrival that finds the key still pending
+   counts a hit and recomputes under [Solver_stats.quiet].  A quiet caller
+   never claims: the loud computation it duplicates reaches the same keys
+   and must be the one to count them.  So every deterministic counter sees
+   each distinct key once, however the pool schedules queries across
+   domains.
 
-let cache_key : (int, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let tbl = Hashtbl.create 512 in
-      Mutex.lock all_tables_mutex;
-      all_tables := tbl :: !all_tables;
-      Mutex.unlock all_tables_mutex;
-      tbl)
+   A degraded [feasible] query (budget or fault) leaves [Seen] instead:
+   the key is counted, but no answer is owed, so the next exact query
+   takes the key over and settles it. *)
+type 'v slot = Seen | Pending | Done of 'v
 
-(* Global registry of systems ever computed.  A local memo miss consults it
-   (one mutex round-trip, dwarfed by the elimination it precedes) so that
-   hit/miss and the compute-path counters count each distinct system once,
-   independent of how the pool schedules queries across domains: the first
-   domain to reach an id counts a miss and computes loudly, later domains
-   recompute under [Solver_stats.quiet] and count a hit. *)
-let seen : (int, unit) Hashtbl.t = Hashtbl.create 4096
-let seen_mutex = Mutex.create ()
+type ('k, 'v) memo = { tbl : ('k, 'v) Hashtbl.t; lock : Mutex.t }
 
-let seen_add sid =
-  Mutex.lock seen_mutex;
-  let fresh = not (Hashtbl.mem seen sid) in
-  if fresh then Hashtbl.add seen sid ();
-  Mutex.unlock seen_mutex;
-  fresh
+let memo () = { tbl = Hashtbl.create 4096; lock = Mutex.create () }
+let feasible_memo : (int, bool slot) memo = memo ()
+let implies_memo : (int * int, bool slot) memo = memo ()
 
-(* Global memo for [implies], keyed by (system id, constraint id).  One
-   shared mutex-guarded table rather than per-domain storage: an implies
-   answer is the product of several feasibility eliminations, so sharing
-   hits across domains is worth the lock, and the seen-registry discipline
-   below keeps the hit/miss counts scheduling-independent.  Bypassed (and
-   not consulted) whenever answers could be degraded (budget / fault
-   injection) or the run wants raw paths (reference mode, cache off). *)
-let implies_memo : (int * int, bool) Hashtbl.t = Hashtbl.create 4096
-let implies_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 4096
-let implies_mutex = Mutex.create ()
+let claim ?(degrades = false) m key :
+    [ `Done of bool | `Fresh | `Owed | `Claimed ] =
+  Mutex.lock m.lock;
+  let r =
+    match Hashtbl.find_opt m.tbl key with
+    | Some (Done r) -> `Done r
+    | Some Pending -> `Claimed
+    | Some Seen when degrades -> `Claimed
+    | Some Seen ->
+      Hashtbl.replace m.tbl key Pending;
+      `Owed
+    | None when not (Solver_stats.counting ()) -> `Claimed
+    | None ->
+      Hashtbl.add m.tbl key (if degrades then Seen else Pending);
+      `Fresh
+  in
+  Mutex.unlock m.lock;
+  r
 
-let implies_memo_find key =
-  Mutex.lock implies_mutex;
-  let cached = Hashtbl.find_opt implies_memo key in
-  let fresh = not (Hashtbl.mem implies_seen key) in
-  if fresh then Hashtbl.add implies_seen key ();
-  Mutex.unlock implies_mutex;
-  (cached, fresh)
+let find m key =
+  Mutex.lock m.lock;
+  let r = Hashtbl.find_opt m.tbl key in
+  Mutex.unlock m.lock;
+  r
 
-let implies_memo_store key r =
-  Mutex.lock implies_mutex;
-  Hashtbl.replace implies_memo key r;
-  Mutex.unlock implies_mutex
+let store m key v =
+  Mutex.lock m.lock;
+  Hashtbl.replace m.tbl key v;
+  Mutex.unlock m.lock
+
+let settle m key r = store m key (Done r)
+
+(* Exact results of the output-sensitive queries: [bounds] keyed by
+   (system id, var id), [project_onto] by (system id, sorted kept var ids)
+   holding the canonical constraint list. *)
+let bounds_memo : (int * int, Rat.t option * Rat.t option) memo = memo ()
+let proj_memo : (int * int list, Constr.t list) memo = memo ()
+
+let reset m =
+  Mutex.lock m.lock;
+  Hashtbl.reset m.tbl;
+  Mutex.unlock m.lock
 
 let clear_cache () =
   (* only sound while no worker is mid-query (tests, bench, and the
      pipeline's run boundaries); Hashtbl.reset on a table another domain
      reads concurrently would race *)
-  Mutex.lock all_tables_mutex;
-  List.iter Hashtbl.reset !all_tables;
-  Mutex.unlock all_tables_mutex;
-  Mutex.lock seen_mutex;
-  Hashtbl.reset seen;
-  Mutex.unlock seen_mutex;
-  Mutex.lock implies_mutex;
-  Hashtbl.reset implies_memo;
-  Hashtbl.reset implies_seen;
-  Mutex.unlock implies_mutex;
-  (* learned contexts (direction thresholds, activity, bounds/projection
-     memos) are caches of exact facts with the same lifetime as the
-     implies memo: flush them through the same path *)
-  Context.clear ()
+  reset feasible_memo;
+  reset implies_memo;
+  reset bounds_memo;
+  reset proj_memo
 
 (* Canonical content key: [t.cs] is sorted and deduplicated, so serializing
    (op, var ids, coefficients, constant) in order is injective.  Only the
@@ -403,13 +369,6 @@ let compute_feasible t =
     Solver_stats.reference_run ();
     (ref_feasible_l t.cs, `Eliminated)
   in
-  if query_cost t <= Atomic.get small_threshold then begin
-    (* tiny system: packed setup costs more than the reference eliminator
-       spends solving it outright *)
-    Solver_stats.small_run ();
-    (ref_feasible_l t.cs, `Eliminated)
-  end
-  else
   match packed_rows t with
   | None -> fallback ()
   | Some rows -> (
@@ -448,14 +407,14 @@ let feasible t =
   end
   else begin
     let t0 = now_ns () in
-    (* Degradation test, checked BEFORE the memo: deterministic in the
-       system's content (and the fault seed), never in scheduling or in
-       whatever answers previous runs left in the per-domain memo tables.
-       Degraded answers are not memoized either, so lifting the budget (or
-       the fault spec) restores exact answers immediately.  The fault key
-       stays the content serialization — intern ids differ across runs —
-       and is only built when a fault spec is active. *)
-    let degrades () =
+    (* Degradation test, checked BEFORE the memo answers: deterministic in
+       the system's content (and the fault seed), never in scheduling or in
+       whatever answers previous runs left in the memo.  Degraded answers
+       are not memoized either, so lifting the budget (or the fault spec)
+       restores exact answers immediately.  The fault key stays the content
+       serialization — intern ids differ across runs — and is only built
+       when a fault spec is active. *)
+    let degrades =
       over_budget t
       || (Fault.enabled () && Fault.fires Fault.Solver ~key:(key_of t))
     in
@@ -464,30 +423,28 @@ let feasible t =
       (box_feasible t, `Prefilter)
     in
     let r, tag =
-      if Atomic.get use_cache then begin
-        let tbl = Domain.DLS.get cache_key in
-        if degrades () then degraded (seen_add t.id)
-        else
-          match Hashtbl.find_opt tbl t.id with
-          | Some r ->
-            Solver_stats.cache_hit ();
-            (r, `Hit)
-          | None ->
-            (* first domain to reach this system counts (and computes
-               loudly); later domains recompute quietly and count a hit, so
-               counters do not depend on pool scheduling *)
-            let fresh = seen_add t.id in
-            if fresh then Solver_stats.cache_miss ()
-            else Solver_stats.cache_hit ();
-            let r, tag =
-              if fresh then compute_feasible t
-              else Solver_stats.quiet (fun () -> compute_feasible t)
-            in
-            Hashtbl.replace tbl t.id r;
-            (r, tag)
-      end
-      else if degrades () then degraded true
-      else compute_feasible t
+      if not (Atomic.get use_cache) then
+        if degrades then degraded true else compute_feasible t
+      else
+        match claim ~degrades feasible_memo t.id with
+        | c when degrades -> degraded (c = `Fresh)
+        | `Done r ->
+          Solver_stats.cache_hit ();
+          (r, `Hit)
+        | `Fresh ->
+          Solver_stats.cache_miss ();
+          let r, tag = compute_feasible t in
+          settle feasible_memo t.id r;
+          (r, tag)
+        | `Owed ->
+          (* counted by the degraded query that saw it first *)
+          Solver_stats.cache_hit ();
+          let r, tag = Solver_stats.quiet (fun () -> compute_feasible t) in
+          settle feasible_memo t.id r;
+          (r, tag)
+        | `Claimed ->
+          Solver_stats.cache_hit ();
+          Solver_stats.quiet (fun () -> compute_feasible t)
     in
     let ns = now_ns () - t0 in
     Solver_stats.add_fast_ns ns;
@@ -545,206 +502,34 @@ let implies_uncached t c =
     end
   end
 
-(* ---------- learned core: assumption queries over persistent contexts ----------
-
-   [implies t c] is the conjunction over the negations [n] of [c] of
-   "[t /\ n] is infeasible".  The learned core answers each such
-   assumption query through the persistent {!Context} of [t]:
-
-   - the direction-threshold table first: rational feasibility of
-     [t /\ (d.x <= q)] is monotone in [q] with a single threshold (the
-     infimum of [d.x] over [t], attained for closed rational polyhedra),
-     so one recorded infeasible outcome is a Farkas certificate refuting
-     every tighter [q] by a comparison (cut hit), and one recorded
-     feasible outcome is a witness answering every looser [q] (bound
-     hit) — both exact;
-   - otherwise one packed elimination over the base rows plus the single
-     assumption row, ordered by the context's conflict activity, whose
-     outcome is learned into the table.
-
-   Eliminations triggered here run under [Solver_stats.quiet]: whether a
-   particular query pays an elimination or hits a learned fact depends on
-   query arrival order across domains, so letting them bump the
-   deterministic counters would break jobs-invariance.  The work is
-   counted in the unconditional ctx_* telemetry instead. *)
-
-(* Direction key of a packed inequality row [cs.x + k <= 0]: the linear
-   part divided by its own gcd [g].  Constr normalization folds the
-   constant into the gcd, so rows sharing a direction but not a constant
-   normalize differently — the threshold table must renormalize the linear
-   part alone.  The query value is [q = -k/g], making the row
-   [key.x <= q].  ([pack_constr] guarantees no [min_int] anywhere.) *)
-let dir_of_row r =
-  let cs = Packed.row_coeffs r in
-  let g = Array.fold_left (fun g c -> Rat.gcd g c) 0 cs in
-  let cs' = if g = 1 then cs else Array.map (fun c -> c / g) cs in
-  ((Packed.row_ids r, cs'), Rat.make (-Packed.row_const r) g)
-
-(* Occurrence counts over the base rows, seeding the context's activity. *)
-let activity_seed rows () =
-  let occ : (int, int ref) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun r ->
-      Array.iter
-        (fun id ->
-          match Hashtbl.find_opt occ id with
-          | Some n -> incr n
-          | None -> Hashtbl.add occ id (ref 1))
-        (Packed.row_ids r))
-    rows;
-  Hashtbl.fold (fun id n acc -> (id, !n) :: acc) occ []
-
-(* Is [t /\ n] feasible, for a single negation constraint [n]?  Exact in
-   every branch (the tighten refutation is re-run exactly before being
-   learned). *)
-let assume_feasible ctx rows t n =
-  match Packed.pack_constr n with
-  | exception Packed.Not_packable ->
-    (* negation does not pack: use the generic memoized path *)
-    feasible (add n t)
-  | nrow ->
-    if Packed.is_const nrow then
-      (* constant assumption: either contradictory on its own or vacuous *)
-      if Packed.const_infeasible nrow then false else feasible t
-    else begin
-      let key, q = dir_of_row nrow in
-      match Context.check_dir ctx key q with
-      | Some r -> r
-      | None ->
-        Solver_stats.ctx_elim ();
-        Context.ensure_activity ctx (activity_seed rows);
-        let prio = Context.prio ctx in
-        let all = Array.append rows [| nrow |] in
-        let r =
-          Solver_stats.quiet (fun () ->
-              try
-                match Packed.feasible ~prio ~tighten:true all with
-                | Packed.Feasible -> true
-                | Packed.Infeasible -> false
-                | Packed.Infeasible_tightened -> (
-                  match Packed.feasible ~prio ~tighten:false all with
-                  | Packed.Feasible -> true
-                  | Packed.Infeasible | Packed.Infeasible_tightened -> false)
-              with Packed.Not_packable | Rat.Overflow ->
-                ref_feasible_l (norm_l (n :: t.cs)))
-        in
-        Context.learn_dir ctx key q r;
-        (* conflict: bump the assumption's variables so later eliminations
-           on this system tackle the contentious dimensions first *)
-        if not r then Context.bump_vars ctx (Packed.row_ids nrow);
-        r
-    end
-
-let implies_learned t c =
-  let mt = Obs.Metrics.enabled () in
-  let t0 = if mt then now_ns () else 0 in
-  let observe h = if mt then Obs.Hist.observe h (now_ns () - t0) in
-  if List.exists (Constr.equal c) t.cs then begin
-    Solver_stats.syntactic_hit ();
-    observe h_implies_hit;
-    true
-  end
-  else
-    match packed_rows t with
-    | None ->
-      (* unpackable system: nothing for a packed context to learn from *)
-      let r = List.for_all (fun n -> not (feasible (add n t))) (negations c) in
-      observe h_implies_eliminated;
-      r
-    | Some rows -> (
-      let ctx = Context.find t.id in
-      match Context.box ctx ~build:(fun () -> Packed.box_of rows) with
-      | None ->
-        (* [t] itself is infeasible, so it entails anything *)
-        Solver_stats.box_refutation ();
-        observe h_implies_prefilter;
-        true
-      | Some box -> (
-        let pre =
-          try
-            if Packed.box_implies box [| Packed.pack_constr c |] then begin
-              Solver_stats.syntactic_hit ();
-              Some true
-            end
-            else None
-          with Packed.Not_packable | Rat.Overflow -> None
-        in
-        match pre with
-        | Some r ->
-          observe h_implies_prefilter;
-          r
-        | None ->
-          Context.decay ctx;
-          let r =
-            List.for_all (fun n -> not (assume_feasible ctx rows t n)) (negations c)
-          in
-          observe h_implies_eliminated;
-          r))
-
 (* The memo only applies when every answer underneath is exact and the run
    is not deliberately measuring raw paths: degraded answers (budget /
    fault) must not be frozen, and reference / cache-off modes exist to
-   time the unmemoized paths.  The same guard gates the learned contexts
-   and the L1 table — they are memo layers too. *)
+   time the unmemoized paths. *)
 let implies_memo_ok () = Atomic.get memo_ok_cached && not (Fault.enabled ())
-
-(* Per-domain L1 answer table for [implies], in front of the mutex-guarded
-   global memo: on join-heavy workloads ~95% of implies queries are
-   repeats, and the global-memo hit path (lock + tuple-keyed probe + two
-   clock reads) costs ~4x the query's useful work.  Keyed by an injective
-   int combination of the two intern ids; registered in [all_tables] so
-   [clear_cache] drops it with everything else. *)
-let implies_l1_key : (int, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let tbl = Hashtbl.create 1024 in
-      Mutex.lock all_tables_mutex;
-      all_tables := tbl :: !all_tables;
-      Mutex.unlock all_tables_mutex;
-      tbl)
 
 let implies t c =
   Solver_stats.implies_query ();
-  if not (implies_memo_ok ()) then begin
-    let t0 = now_ns () in
-    Solver_stats.implies_fresh ();
-    let r = implies_uncached t c in
-    Solver_stats.add_implies_ns (now_ns () - t0);
-    r
-  end
-  else begin
-    let l1 = Domain.DLS.get implies_l1_key in
-    let lk = (t.id lsl 31) lor Constr.id c in
-    match Hashtbl.find_opt l1 lk with
-    | Some r ->
-      (* L1 hits are deliberately untimed: two clock reads would cost more
-         than the lookup itself, and the wall sums are already excluded
-         from the deterministic stats *)
-      Solver_stats.implies_l1_hit ();
-      r
-    | None ->
-      let t0 = now_ns () in
+  let t0 = now_ns () in
+  let r =
+    if not (implies_memo_ok ()) then begin
+      Solver_stats.implies_fresh ();
+      implies_uncached t c
+    end
+    else begin
       let key = (t.id, Constr.id c) in
-      let cached, fresh = implies_memo_find key in
-      (* fresh computes are counted against the seen registry, not the
-         memo lookup: two domains racing on a fresh pair both miss the
-         memo, but only the first is fresh — so (queries - fresh), the
-         derived memo-hit total, is identical at every --jobs setting *)
-      if fresh then Solver_stats.implies_fresh ();
-      let r =
-        match cached with
-        | Some r -> r
-        | None ->
-          let r =
-            if fresh then implies_learned t c
-            else Solver_stats.quiet (fun () -> implies_learned t c)
-          in
-          implies_memo_store key r;
-          r
-      in
-      Hashtbl.replace l1 lk r;
-      Solver_stats.add_implies_ns (now_ns () - t0);
-      r
-  end
+      match claim implies_memo key with
+      | `Done r -> r
+      | `Fresh ->
+        Solver_stats.implies_fresh ();
+        let r = implies_uncached t c in
+        settle implies_memo key r;
+        r
+      | `Owed | `Claimed -> Solver_stats.quiet (fun () -> implies_uncached t c)
+    end
+  in
+  Solver_stats.add_implies_ns (now_ns () - t0);
+  r
 
 let includes a b =
   if Atomic.get use_reference then List.for_all (fun c -> implies b c) a.cs
@@ -831,34 +616,37 @@ let sample t =
   | None -> None
   | Some m -> Some (fun v -> Var.Map.find v m)
 
-(* Output-sensitive results (bounds, projections) memoized through the
-   learned contexts: the region layer re-derives both for the same
-   interned system on every region rebuild (90%+ intern hit rate), each
-   time paying the reference eliminator.  The stored value is exactly what
-   one reference computation produced — these are rendered into .rgn
-   files, and byte-identity holds because a memo hit returns the identical
-   interned value a recompute would. *)
+(* Output-sensitive results (bounds, projections) memoized per system:
+   the region layer re-derives both for the same interned system on every
+   region rebuild (90%+ intern hit rate), each time paying the reference
+   eliminator.  The stored value is exactly what one reference computation
+   produced — these are rendered into .rgn files, and byte-identity holds
+   because a memo hit returns the identical interned value a recompute
+   would. *)
 let bounds v t =
   if Atomic.get use_cache then begin
-    let ctx = Context.find t.id in
-    match Context.find_bounds ctx (Var.id v) with
-    | Some b -> b
+    let key = (t.id, Var.id v) in
+    match find bounds_memo key with
+    | Some b ->
+      Solver_stats.ctx_bound_hit ();
+      b
     | None ->
       let b = bounds_raw v t in
-      Context.store_bounds ctx (Var.id v) b;
+      store bounds_memo key b;
       b
   end
   else bounds_raw v t
 
 let project_onto keep t =
   if Atomic.get use_cache then begin
-    let ctx = Context.find t.id in
-    let key = List.map Var.id (Var.Set.elements keep) in
-    match Context.find_proj ctx key with
-    | Some cs -> intern_norm cs
+    let key = (t.id, List.map Var.id (Var.Set.elements keep)) in
+    match find proj_memo key with
+    | Some cs ->
+      Solver_stats.ctx_proj_hit ();
+      intern_norm cs
     | None ->
       let r = project_onto_raw keep t in
-      Context.store_proj ctx key r.cs;
+      store proj_memo key r.cs;
       r
   end
   else project_onto_raw keep t

@@ -15,9 +15,7 @@ type t
 
     Hash-consed: the canonical constraint list is interned, so structurally
     equal systems are the same value, {!equal} is one integer comparison,
-    and the solver memos key on {!id}.  The packed-row translation backing
-    the fast queries is cached inside the interned node (computed at most
-    once per process). *)
+    and the solver memos key on {!id}. *)
 
 val id : t -> int
 (** Unique intern id of the canonical form.  Allocation-order dependent —
@@ -58,7 +56,7 @@ val feasible : t -> bool
     need for soundness.
 
     Answered by the packed integer solver ({!Packed}) with GCD tightening,
-    Imbert redundancy pruning, and a per-domain memo cache; refutations that
+    Imbert redundancy pruning, and a memo keyed by {!id}; refutations that
     depended on strict tightening are re-checked exactly, and overflow falls
     back to the reference eliminator, so the answer always equals
     {!Reference.feasible}. *)
@@ -96,40 +94,23 @@ val sample : t -> (Var.t -> Rat.t) option
 (** A rational point satisfying the system, if feasible: found by
     back-substitution through the elimination order. *)
 
-(** {2 Solver core}
-
-    One production core answers {!feasible}/{!implies}/{!includes}/
-    {!disjoint}: the packed integer Fourier-Motzkin solver plus persistent
-    per-system {!Context}s — learned direction thresholds (Farkas cuts /
-    feasibility witnesses) answer repeat assumption queries by one
-    rational comparison, eliminations are ordered by conflict activity,
-    and bounds/projections are memoized per system.  A per-domain L1
-    table answers repeat implies queries without touching the global
-    memo's lock.
-
-    The learned layer only engages when the implies memo may (cache on, no
-    budget, no fault injection, not reference mode): it is a memo layer
-    itself, so the same exactness conditions apply.  The exact rational
-    eliminator survives as {!Reference}, the differential oracle. *)
-
-val set_small_threshold : int -> unit
-(** Feasibility queries whose cost (constraint count times variable count,
-    as for {!set_step_budget}) is at or below this threshold skip packed
-    setup and run the reference eliminator directly — on tiny systems the
-    packing and box construction cost more than the elimination they
-    accelerate.  Routed queries are counted in [Solver_stats.small_runs].
-    Default 2, the crossover a threshold sweep over the NAS LU region
-    systems measured (the balance is host-dependent, hence the knob). *)
-
 (** {2 Solver knobs}
 
-    The fast query layer can be disabled wholesale ([set_reference_mode
-    true] routes {!feasible}/{!implies}/{!includes}/{!disjoint} through the
-    reference eliminator) or partially ([set_cache_enabled false] keeps the
-    packed solver but skips memoization).  Both knobs exist for differential
-    testing and benchmarking; answers are identical in every configuration. *)
+    Every query has one compute path: {!feasible} runs the packed solver,
+    {!implies} a syntactic and interval-box prefilter and then {!feasible}
+    on each negation, {!includes} and {!disjoint} are built on those.  On
+    top sits at most one memo per query kind — [feasible] keyed by system
+    id, [implies] by (system id, constraint id), [bounds] and
+    [project_onto] by (system id, var ids) — shared by all domains.  The
+    exact rational eliminator survives as {!Reference}, the differential
+    oracle.
+
+    The knobs exist for differential testing, benchmarking and graceful
+    degradation; exact answers are identical in every configuration. *)
 
 val set_reference_mode : bool -> unit
+(** [true] routes {!feasible}/{!implies}/{!includes}/{!disjoint} through
+    the reference eliminator, with the implies memo bypassed. *)
 
 val reference_mode : unit -> bool
 
@@ -148,20 +129,13 @@ val set_step_budget : int option -> unit
     targeted queries. *)
 
 val set_cache_enabled : bool -> unit
-(** The memo cache for {!feasible} is per-domain (domain-local storage), so
-    parallel engine domains never contend on it.  The {!implies} memo is
-    global, keyed by (system id, constraint id) — an implies answer
-    amortizes several eliminations, so hits are shared across domains.
-    [false] bypasses both, together with the learned contexts; the implies
-    memo is also bypassed whenever answers could be degraded (step budget,
-    fault injection) or in reference mode.  Answers are identical either
-    way. *)
+(** [false] bypasses every memo (feasible, implies, bounds, projections).
+    The implies memo is also bypassed whenever answers could be degraded
+    (step budget, fault injection) or in reference mode.  Answers are
+    identical either way. *)
 
 val clear_cache : unit -> unit
-(** Drop every domain's memo table (feasible memos and implies L1 tables),
-    the global seen-sets, the implies memo, and every learned
-    {!Context} — direction thresholds, activity tables, bounds and
-    projection memos (benchmarks and run boundaries; never required for
+(** Drop every memo (benchmarks and run boundaries; never required for
     correctness since cached answers are immutable exact facts).  Only
     call while no other domain is querying. *)
 

@@ -57,6 +57,13 @@ cmp "$out/report1.json" "$out/report4.json"
 dune exec bench/main.exe -- check-json "$out/report1.json"
 dune exec bin/dragon.exe -- report "$out/report1.json" | grep -q "== analysis: bounds =="
 
+echo "== smoke: uhc --stats-det is jobs-invariant (gen-small) =="
+dune exec bin/uhc.exe -- --corpus gen-small --stats-det --jobs 1 \
+  >"$out/statsdet1.txt"
+dune exec bin/uhc.exe -- --corpus gen-small --stats-det --jobs 4 \
+  >"$out/statsdet4.txt"
+cmp "$out/statsdet1.txt" "$out/statsdet4.txt"
+
 echo "== smoke: uhc --trace/--metrics + dragon profile =="
 dune exec bin/uhc.exe -- --corpus matrix --jobs 2 \
   --trace "$out/trace.json" --metrics "$out/metrics.json" \

@@ -269,6 +269,50 @@ let test_jobs_invariance () =
       Alcotest.(check string) (corpus ^ " diagnostics bytes") diag1 diag4)
     [ "lu"; "matrix"; "fig1"; "stride" ]
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn > 0 && go 0
+
+(* a run that exhausts the interpreter's fuel is reported, not raised: the
+   faults seen before still get checked, but the summary cannot read ok *)
+let test_diffcheck_exhausted () =
+  let src =
+    {|      program t
+      integer a(4), i, x
+      do i = 1, 6
+        a(i) = i
+      end do
+      x = 0
+      do while (x .eq. 0)
+        x = 0
+      end do
+      end
+|}
+  in
+  let result = Engine.analyze_sources [ ("t.f", src) ] in
+  let ctx = ctx_of result in
+  let outcome =
+    match Interp.run ~fuel:200 ~record_oob:true result.Ipa.Analyze.r_module with
+    | _ -> Alcotest.fail "out of fuel not raised"
+    | exception Interp.Out_of_fuel o -> o
+  in
+  let r, diags = Analyses.Diffcheck.check ctx ~completed:false outcome in
+  let summary key = List.assoc_opt key r.Analyses.Report.r_summary in
+  Alcotest.(check (option string)) "completed" (Some "false")
+    (summary "completed");
+  Alcotest.(check (option string)) "not ok" (Some "false") (summary "ok");
+  Alcotest.(check int) "faults before exhaustion checked" 2
+    (summary_int r "oob_events");
+  Alcotest.(check int) "and covered by verdict rows" 2
+    (summary_int r "covered");
+  Alcotest.(check bool) "a warning names the step budget" true
+    (List.exists
+       (fun (d : Fault.Diag.t) ->
+         d.Fault.Diag.d_severity = Fault.Diag.Warning
+         && contains d.Fault.Diag.d_detail "step budget")
+       diags)
+
 let suite =
   [
     Alcotest.test_case "bounds: fig1 all safe" `Quick test_bounds_fig1;
@@ -277,6 +321,8 @@ let suite =
     Alcotest.test_case "permissions: fig1 preconditions" `Quick
       test_permissions_fig1;
     Alcotest.test_case "registry: names and selection" `Quick test_registry;
+    Alcotest.test_case "diffcheck: exhausted run reported" `Quick
+      test_diffcheck_exhausted;
     Alcotest.test_case "report schema + dragon viewer" `Quick
       test_report_schema;
     QCheck_alcotest.to_alcotest prop_bounds_differential;

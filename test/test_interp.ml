@@ -165,10 +165,40 @@ let test_fuel () =
       end
 |} )
   in
-  Alcotest.check_raises "out of fuel" Interp.Out_of_fuel (fun () ->
-      let prog = Lang.Frontend.load ~files:[ src ] in
-      let m = Whirl.Lower.lower prog in
-      ignore (Interp.run ~fuel:1000 m))
+  let m = Whirl.Lower.lower (Lang.Frontend.load ~files:[ src ]) in
+  match Interp.run ~fuel:1000 m with
+  | _ -> Alcotest.fail "out of fuel not raised"
+  | exception Interp.Out_of_fuel o ->
+    Alcotest.(check int) "stopped at the budget" 1000 o.Interp.out_steps
+
+(* the partial outcome an exhausted recording run raises keeps the output
+   and the out-of-bounds events it saw before the budget ran out *)
+let test_fuel_keeps_partial_run () =
+  let src =
+    ( "t.f",
+      {|      program t
+      integer a(4), i, x
+      do i = 1, 6
+        a(i) = i
+      end do
+      print *, 'filled'
+      x = 0
+      do while (x .eq. 0)
+        x = 0
+      end do
+      end
+|} )
+  in
+  let m = Whirl.Lower.lower (Lang.Frontend.load ~files:[ src ]) in
+  let o =
+    match Interp.run ~fuel:200 ~record_oob:true m with
+    | _ -> Alcotest.fail "out of fuel not raised"
+    | exception Interp.Out_of_fuel o -> o
+  in
+  Alcotest.(check int) "both stores past a(4) kept" 2
+    (List.length o.Interp.out_oob);
+  Alcotest.(check bool) "output before exhaustion kept" true
+    (String.length o.Interp.out_text > 0)
 
 let test_events_carry_layout_addresses () =
   let events = ref [] in
@@ -289,7 +319,7 @@ let test_lu_class_s_runs () =
   (* shrink the iteration count via fuel rather than editing the corpus:
      class S with itmax=250 is ~hundreds of millions of statements, so run
      only until the budget trips and check we got deep into execution *)
-  (try ignore (Interp.run ~fuel:2_000_000 m) with Interp.Out_of_fuel -> ());
+  (try ignore (Interp.run ~fuel:2_000_000 m) with Interp.Out_of_fuel _ -> ());
   Alcotest.(check pass) "no runtime errors before the fuel limit" () ()
 
 let suite =
@@ -302,6 +332,8 @@ let suite =
     Alcotest.test_case "C program" `Quick test_c_program;
     Alcotest.test_case "out-of-bounds detection" `Quick test_out_of_bounds;
     Alcotest.test_case "fuel limit" `Quick test_fuel;
+    Alcotest.test_case "fuel exhaustion keeps the partial run" `Quick
+      test_fuel_keeps_partial_run;
     Alcotest.test_case "events carry layout addresses" `Quick test_events_carry_layout_addresses;
     Alcotest.test_case "static covers dynamic" `Quick test_static_covers_dynamic;
     Alcotest.test_case "function result" `Quick test_function_result;

@@ -251,8 +251,8 @@ let test_explain_names_callee () =
     | Error e -> Alcotest.(check bool) "error lists PUs" true (contains e "driver")
 
 (* ------------------------------------------------------------------ *)
-(* Records written before the topology block and the solver-core config
-   field were dropped stay readable *)
+(* Records written before the topology block, the solver-core config
+   field and the learned-core solver counters were dropped stay readable *)
 
 let old_run_id = "18df376558cd2600-001784-0000"
 
@@ -292,6 +292,42 @@ let old_record =
       {|"summary_hit":false,"callees":[]}]}|};
     ]
 
+let counters_run_id = "18df44eeb872a100-030719-0000"
+
+(* the same fig1 run as written while the solver still counted small-path
+   runs, per-domain L1 hits and the learned core's cuts, eliminations and
+   activity reorders (metrics registry and PU list trimmed) *)
+let counters_record =
+  String.concat ""
+    [
+      {|{"schema_version":1,"run_id":"|}; counters_run_id;
+      {|","ts":1792216410.031,"project":"project","corpus":"fig1","jobs":1,|};
+      {|"analyses":["bounds"],"config_digest":"b21e7c1fd5742179c3effbcc5f7c32a3",|};
+      {|"corpus_digest":"2b912f95b5ab92082e1c0718c0c12b7f","exit_code":0,|};
+      {|"wall_s":0.016204,"outputs":["lgo/project.rgn","lgo/project.dgn",|};
+      {|"lgo/project.cfg"],"analyzed":true,"pus_analyzed":4,"phases":[|};
+      {|{"name":"prepare","wall_s":0.000041,"alloc_bytes":1466},|};
+      {|{"name":"collect","wall_s":0.000902,"alloc_bytes":18572},|};
+      {|{"name":"summarize","wall_s":0.000471,"alloc_bytes":6267}],|};
+      {|"cache":{"collect_hits":0,"collect_misses":4,"summary_hits":0,|};
+      {|"summary_misses":4},"solver":{"queries":0,"cache_hits":0,|};
+      {|"cache_misses":0,"box_refutations":0,"syntactic_hits":0,"fm_runs":0,|};
+      {|"fm_rows_built":0,"fm_rows_pruned":0,"tighten_fallbacks":0,|};
+      {|"overflow_fallbacks":0,"reference_runs":0,"small_runs":0,|};
+      {|"wall_fast_ns":0,"wall_reference_ns":0,"implies_queries":0,|};
+      {|"implies_memo_hits":0,"implies_wall_ns":0,"implies_l1_hits":0,|};
+      {|"ctx_contexts":3,"ctx_cut_hits":0,"ctx_bound_hits":18,"ctx_proj_hits":0,|};
+      {|"ctx_elims":0,"ctx_activity_reorders":0},|};
+      {|"verdicts":{"bounds":{"accesses":6,"safe":6,"unsafe":0,"maybe":0}},|};
+      {|"diagnostics":0,"metrics":[],"pus":[|};
+      {|{"name":"fig1","file":"fig1.f","key1":"bc5bbb4b42c34f9c26d0193925e5da32",|};
+      {|"key2":"bf143ebfd6811dd58355e9839c6a199e","collect_hit":false,|};
+      {|"summary_hit":false,"callees":["add"]},|};
+      {|{"name":"add","file":"fig1.f","key1":"5873cc3317902505ea881de9a41203cb",|};
+      {|"key2":"4104da9461443709ed079ac0fac2055b","collect_hit":false,|};
+      {|"summary_hit":false,"callees":["p1","p2"]}]}|};
+    ]
+
 (* sibling build outputs of this test binary *)
 let exe dir name =
   Filename.concat
@@ -312,16 +348,9 @@ let run_cmd cmd =
   in
   (code, Buffer.contents buf)
 
+(* each old record gets its own cache dir, so a current run over the same
+   input lands right after it and [dragon explain] compares against it *)
 let test_old_record_accepted () =
-  let cache = temp_dir () in
-  let old_path =
-    Obs.Ledger.append ~cache_dir:cache ~run_id:old_run_id old_record
-  in
-  (* a current run over the same input lands after it *)
-  Alcotest.(check int) "current run exits 0" 0
-    (Pipeline.run
-       (Pipeline.make ~corpus:"fig1" ~cache_dir:cache ~analyses:[ "bounds" ] ()))
-      .Pipeline.r_code;
   let expect_ok what cmd needle =
     let code, out = run_cmd cmd in
     if code <> 0 then Alcotest.failf "%s exited %d:\n%s" what code out;
@@ -330,19 +359,29 @@ let test_old_record_accepted () =
   in
   let bench = exe "bench" "main" and dragon = exe "bin" "dragon" in
   let q = Filename.quote in
-  expect_ok "bench check-json"
-    (Printf.sprintf "%s check-json %s" bench (q old_path))
-    "OK (ledger, 1 record(s))";
-  expect_ok "dragon history"
-    (Printf.sprintf "%s history --cache-dir %s wall_s verdicts.bounds.safe"
-       dragon (q cache))
-    "verdicts.bounds.safe";
-  expect_ok "dragon regress"
-    (Printf.sprintf "%s regress --cache-dir %s" dragon (q cache))
-    "regress: OK";
-  expect_ok "dragon explain"
-    (Printf.sprintf "%s explain --cache-dir %s add" dragon (q cache))
-    ("vs previous " ^ old_run_id)
+  List.iter
+    (fun (run_id, record) ->
+      let cache = temp_dir () in
+      let path = Obs.Ledger.append ~cache_dir:cache ~run_id record in
+      Alcotest.(check int) "current run exits 0" 0
+        (Pipeline.run
+           (Pipeline.make ~corpus:"fig1" ~cache_dir:cache
+              ~analyses:[ "bounds" ] ()))
+          .Pipeline.r_code;
+      expect_ok "bench check-json"
+        (Printf.sprintf "%s check-json %s" bench (q path))
+        "OK (ledger, 1 record(s))";
+      expect_ok "dragon history"
+        (Printf.sprintf "%s history --cache-dir %s wall_s verdicts.bounds.safe"
+           dragon (q cache))
+        "verdicts.bounds.safe";
+      expect_ok "dragon regress"
+        (Printf.sprintf "%s regress --cache-dir %s" dragon (q cache))
+        "regress: OK";
+      expect_ok "dragon explain"
+        (Printf.sprintf "%s explain --cache-dir %s add" dragon (q cache))
+        ("vs previous " ^ run_id))
+    [ (old_run_id, old_record); (counters_run_id, counters_record) ]
 
 let suite =
   [

@@ -11,6 +11,7 @@ let corpus_files = function
   | "matrix" -> [ Corpus.Small.matrix_c ]
   | "fig1" -> [ Corpus.Small.fig1_f ]
   | "stride" -> [ Corpus.Small.stride_f ]
+  | "gen-small" -> Corpus.Gen.(generate default)
   | other -> Alcotest.failf "unknown corpus %s" other
 
 let lower files = Whirl.Lower.lower (Lang.Frontend.load ~files)
@@ -374,7 +375,7 @@ let test_stats_deterministic () =
       (* and stable across repetition at the same setting *)
       Alcotest.(check string)
         (corpus ^ " stats-det repeatable") parallel (det_stats 4 files))
-    [ "lu"; "matrix" ]
+    [ "lu"; "matrix"; "gen-small" ]
 
 (* ------------------------------------------------------------------ *)
 (* Worker allocation attribution *)
@@ -391,7 +392,7 @@ let test_worker_alloc_attributed () =
       (fun acc p -> acc +. p.Engine.Stats.ph_alloc)
       0. r.Engine.e_stats.Engine.Stats.s_phases
   in
-  (* warm the process-global term interner and packed-row caches first:
+  (* warm the process-global term interner and solver memos first:
      they are never dropped, so whichever measured run goes first would
      otherwise allocate far more than the second regardless of jobs *)
   ignore (alloc_of 1);

@@ -163,18 +163,18 @@ let test_corpora_identical () =
       check_same_output (corpus ^ " reference vs fast") reference fast)
     [ "lu"; "matrix"; "fig1"; "stride" ]
 
-(* ---------- learned core: query sequences against shared systems ----------
+(* ---------- memoized query sequences against shared systems ----------
 
-   The learned contexts answer later queries from facts recorded by earlier
-   ones (direction thresholds, variable bounds), so correctness depends on
-   the whole query *sequence*, not single queries: ask every constraint
-   twice against a shared feasible system and a shared infeasible one, and
-   require each answer to equal the reference eliminator's.  (Clamped
-   regions reuse these same systems through [Region.extent_check]; the
-   corpus test below covers that end to end.) *)
+   The memos answer later queries from entries recorded by earlier ones,
+   and an implies answer rests on feasible answers memoized underneath, so
+   correctness depends on the whole query *sequence*, not single queries:
+   ask every constraint twice against a shared feasible system and a
+   shared infeasible one, and require each answer to equal the reference
+   eliminator's.  (Clamped regions reuse these same systems through
+   [Region.extent_check]; the corpus test below covers that end to end.) *)
 
-let prop_learned_sequence =
-  QCheck2.Test.make ~name:"learned context sequences = reference" ~count:150
+let prop_memo_sequence =
+  QCheck2.Test.make ~name:"memoized query sequences = reference" ~count:150
     QCheck2.Gen.(pair gen_system (list_size (int_range 1 12) gen_constr))
     ~print:QCheck2.Print.(pair print_system (list print_constr))
     (fun (s, cs) ->
@@ -221,10 +221,10 @@ let test_reference_jobs_identical () =
         [ (false, "production"); (true, "reference") ])
     [ "lu"; "matrix" ]
 
-(* [clear_cache] must flush the learned contexts and activity tables along
-   with the memos: two identical runs from a cleared state produce the same
-   deterministic stats block and re-create the same number of contexts —
-   nothing carried over can shift either *)
+(* [clear_cache] must flush the bounds/projection memos along with the
+   query memos: two identical runs from a cleared state produce the same
+   deterministic stats block and the same number of bounds hits — an entry
+   carried over would turn a first computation into a hit *)
 let test_no_cross_run_leak () =
   let files = corpus_files "matrix" in
   let run () =
@@ -233,15 +233,104 @@ let test_no_cross_run_leak () =
     ignore (render (Engine.analyze (lower files)));
     let d = Solver_stats.snapshot () in
     (Format.asprintf "%a" Solver_stats.pp_deterministic d,
-     d.Solver_stats.ctx_contexts)
+     d.Solver_stats.ctx_bound_hits)
   in
-  let det1, ctx1 = run () in
-  let det2, ctx2 = run () in
-  let det3, ctx3 = run () in
+  let det1, hits1 = run () in
+  let det2, hits2 = run () in
+  let det3, hits3 = run () in
   Alcotest.(check string) "deterministic stats identical (run 2)" det1 det2;
   Alcotest.(check string) "deterministic stats identical (run 3)" det1 det3;
-  Alcotest.(check int) "contexts re-created, not leaked (run 2)" ctx1 ctx2;
-  Alcotest.(check int) "contexts re-created, not leaked (run 3)" ctx1 ctx3
+  Alcotest.(check int) "bounds memo not leaked (run 2)" hits1 hits2;
+  Alcotest.(check int) "bounds memo not leaked (run 3)" hits1 hits3
+
+(* ---------- the shared memos under contention ----------
+
+   Four domains ask the same harvested NAS LU questions at once, each
+   starting at a different offset.  Every answer must equal the reference
+   eliminator's, and the deterministic counters must come out as in a
+   serial run: one cache miss per distinct system, one fresh implies
+   compute per distinct (system, constraint) pair — the domain that claims
+   a key counts it, later arrivals count hits. *)
+
+let lu_workload () =
+  let r = Engine.analyze (lower (corpus_files "lu")) in
+  let systems =
+    List.concat_map
+      (fun (_, info) ->
+        List.map
+          (fun (a : Ipa.Collect.access) ->
+            a.Ipa.Collect.ac_region.Regions.Region.sys)
+          info.Ipa.Collect.p_accesses)
+      r.Ipa.Analyze.r_infos
+  in
+  let rec adjacent = function
+    | a :: (b :: _ as tl) ->
+      List.map (fun c -> (a, c)) (System.to_list b) @ adjacent tl
+    | [] | [ _ ] -> []
+  in
+  (Array.of_list systems, Array.of_list (adjacent systems))
+
+let distinct key xs =
+  let h = Hashtbl.create 512 in
+  Array.iter (fun x -> Hashtbl.replace h (key x) ()) xs;
+  Hashtbl.length h
+
+(* [query.(i)] answered by [domains] domains, domain [d] walking the array
+   from offset [d * n / domains]; returns whether every answer matched and
+   the counters the run moved *)
+let contend ~domains query expected =
+  System.clear_cache ();
+  let s0 = Solver_stats.snapshot () in
+  let n = Array.length expected in
+  let worker d () =
+    let ok = ref true in
+    for k = 0 to n - 1 do
+      let i = (k + (d * n / domains)) mod n in
+      if query i <> expected.(i) then ok := false
+    done;
+    !ok
+  in
+  let spawned = List.init domains (fun d -> Domain.spawn (worker d)) in
+  let ok = List.for_all Fun.id (List.map Domain.join spawned) in
+  (ok, Solver_stats.diff (Solver_stats.snapshot ()) s0)
+
+let test_shared_memo_contention () =
+  let systems, pairs = lu_workload () in
+  let feas_expected = Array.map System.Reference.feasible systems in
+  let feas i = System.feasible systems.(i) in
+  let ok, d = contend ~domains:4 feas feas_expected in
+  Alcotest.(check bool) "feasible answers = reference" true ok;
+  Alcotest.(check int) "feasible queries" (4 * Array.length systems)
+    d.Solver_stats.queries;
+  Alcotest.(check int) "one cache miss per distinct system"
+    (distinct System.id systems) d.Solver_stats.cache_misses;
+  let impl_expected =
+    Array.map (fun (t, c) -> System.Reference.implies t c) pairs
+  in
+  let impl i =
+    let t, c = pairs.(i) in
+    System.implies t c
+  in
+  let ok, d = contend ~domains:4 impl impl_expected in
+  Alcotest.(check bool) "implies answers = reference" true ok;
+  let distinct_pairs =
+    distinct (fun (t, c) -> (System.id t, Constr.id c)) pairs
+  in
+  Alcotest.(check int) "one fresh implies per distinct pair" distinct_pairs
+    (d.Solver_stats.implies_queries - d.Solver_stats.implies_memo_hits);
+  let _, serial = contend ~domains:1 impl impl_expected in
+  Alcotest.(check int) "fresh implies as in a serial run"
+    (serial.Solver_stats.implies_queries - serial.Solver_stats.implies_memo_hits)
+    distinct_pairs;
+  let det d = Format.asprintf "%a" Solver_stats.pp_deterministic d in
+  (* the serial run asks each question once, the parallel one four times:
+     everything but the query and hit totals must agree *)
+  let per_key (d : Solver_stats.t) =
+    { d with queries = 0; cache_hits = 0; implies_queries = 0;
+      implies_memo_hits = 0 }
+  in
+  Alcotest.(check string) "implies counters as in a serial run"
+    (det (per_key serial)) (det (per_key d))
 
 let test_stats_move () =
   Solver_stats.reset ();
@@ -254,6 +343,34 @@ let test_stats_move () =
   Alcotest.(check int) "one miss" 1 d.Solver_stats.cache_misses;
   Alcotest.(check int) "one hit" 1 d.Solver_stats.cache_hits
 
+(* a degraded query counts its system but leaves no answer behind: the
+   next exact query takes the key over and settles it, so the one after
+   is answered from the memo *)
+let test_degraded_then_exact () =
+  Solver_stats.reset ();
+  System.clear_cache ();
+  let metrics = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      System.set_step_budget None;
+      Obs.Metrics.set_enabled metrics;
+      System.clear_cache ())
+  @@ fun () ->
+  let hits = Obs.Metrics.histogram "solver.feasible.hit.ns" in
+  let s = System.of_list box in
+  System.set_step_budget (Some 0);
+  ignore (System.feasible s);
+  System.set_step_budget None;
+  let exact = System.Reference.feasible s in
+  Alcotest.(check bool) "exact after the budget lifts" exact (System.feasible s);
+  let h0 = Obs.Hist.count hits in
+  Alcotest.(check bool) "exact from the memo" exact (System.feasible s);
+  Alcotest.(check int) "answered as a memo hit" (h0 + 1) (Obs.Hist.count hits);
+  let d = Solver_stats.snapshot () in
+  Alcotest.(check int) "no miss: the degraded query counted the key" 0
+    d.Solver_stats.cache_misses;
+  Alcotest.(check int) "two hits" 2 d.Solver_stats.cache_hits
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_feasible_agrees;
@@ -261,7 +378,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_includes_agrees;
     QCheck_alcotest.to_alcotest prop_disjoint_agrees;
     QCheck_alcotest.to_alcotest prop_bounds_sample_agree;
-    QCheck_alcotest.to_alcotest prop_learned_sequence;
+    QCheck_alcotest.to_alcotest prop_memo_sequence;
     Alcotest.test_case "corpora byte-identical (reference vs fast)" `Quick
       test_corpora_identical;
     Alcotest.test_case "corpora byte-identical (production vs reference x jobs 1/4)"
@@ -270,4 +387,8 @@ let suite =
       test_no_cross_run_leak;
     Alcotest.test_case "solver stats count queries and memo hits" `Quick
       test_stats_move;
+    Alcotest.test_case "shared memos under 4-domain contention" `Quick
+      test_shared_memo_contention;
+    Alcotest.test_case "degraded query leaves the memo usable" `Quick
+      test_degraded_then_exact;
   ]
