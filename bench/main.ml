@@ -877,7 +877,7 @@ let bench_solver ~json ~out () =
     "micro (%d systems x %d passes):\n\
     \  feasible: reference %.4fs, production %.4fs => %.1fx\n\
     \  implies:  reference %.4fs, production %.4fs (%d memo hits)\n\
-    \  project:  %.4fs (exact eliminator, context-memoized)\n"
+    \  project:  %.4fs (exact eliminator, memoized)\n"
     (List.length systems) passes feas_reference feas speedup impl_reference
     impl d_impl.implies_memo_hits proj;
   (* ---- machine-readable record *)

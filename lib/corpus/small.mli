@@ -23,5 +23,3 @@ val caf_f : string * string
 (** Coarray Fortran halo exchange: remote writes [halo(i)[me+1]] and reads
     [work(i)[me+1]] — exercises the paper's future-work PGAS analysis
     (RDEF/RUSE modes). *)
-
-val all_small : (string * string) list

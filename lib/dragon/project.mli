@@ -38,7 +38,5 @@ val procedures : t -> string list
 
 val rows_in_scope : t -> string -> Rgnfile.Row.t list
 
-val arrays_in_scope : t -> string -> string list
-
 val source : t -> string -> string option
 (** By basename or full path. *)

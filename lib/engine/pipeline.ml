@@ -619,6 +619,8 @@ let run (cfg : config) =
   in
   let trace_path = Option.map obs_path cfg.trace in
   let metrics_path = Option.map obs_path cfg.metrics in
+  (* observation switches are process-global too: restored in [finally] *)
+  let tracing0 = Obs.Span.enabled () and metrics0 = Obs.Metrics.enabled () in
   if trace_path <> None then begin
     Obs.Trace.clear ();
     Obs.Span.set_enabled true
@@ -637,12 +639,6 @@ let run (cfg : config) =
       false
   in
   Linear.System.set_step_budget cfg.solver_budget;
-  let clear_cache = cfg.fault_specs <> [] || cfg.solver_budget <> None in
-  if clear_cache then
-    (* degraded answers are never memoized, but an earlier in-process run
-       may have cached exact answers the faulted run should recompute (and
-       vice versa for the run after) -- start from a cold solver cache *)
-    Linear.System.clear_cache ();
   let c_degraded = Obs.Metrics.counter "solver.degraded" in
   let degraded0 = Obs.Metrics.Counter.get c_degraded in
   Obs.Log.info "pipeline.start"
@@ -661,7 +657,6 @@ let run (cfg : config) =
     ~finally:(fun () ->
       Fault.clear ();
       Linear.System.set_step_budget None;
-      if clear_cache then Linear.System.clear_cache ();
       (* flush observation files even when the pipeline failed: a trace of a
          crashed run is exactly what one wants to look at *)
       (match trace_path with
@@ -670,11 +665,13 @@ let run (cfg : config) =
         Obs.Span.set_enabled false;
         Obs.Trace.save ~path;
         Obs.Log.info "trace.written" [ ("path", path) ]);
-      match metrics_path with
+      (match metrics_path with
       | None -> ()
       | Some path ->
         Obs.Metrics.save ~path;
-        Obs.Log.info "metrics.written" [ ("path", path) ])
+        Obs.Log.info "metrics.written" [ ("path", path) ]);
+      Obs.Span.set_enabled tracing0;
+      Obs.Metrics.set_enabled metrics0)
     (fun () ->
       let code =
         if not specs_ok then 2

@@ -139,6 +139,7 @@ val make :
 val run : config -> result
 (** Runs the pipeline, printing to stdout/stderr like the [uhc] tool, and
     returns everything it produced as one {!result} record.  Fault
-    injection, the solver budget and the solver memo cache are reset on
-    exit — including on exceptions — so subsequent in-process runs are
-    unaffected. *)
+    injection and the solver budget are reset, and tracing and metrics
+    collection restored to their state on entry, on exit — including on
+    exceptions — so subsequent in-process runs are unaffected.  The solver
+    memos persist across runs: they hold exact answers only. *)

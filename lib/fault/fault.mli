@@ -55,9 +55,6 @@ val inject : site -> key:string -> unit
 (** @raise Injected when an installed spec fires on (site, key); counts
     the [fault.injected.<site>] metric first.  No-op when disabled. *)
 
-val injected_count : site -> int
-(** Cumulative fired count for the site (process lifetime). *)
-
 (** Structured degradation diagnostics — what faulted, how bad, and what
     the pipeline did instead of aborting.  [uhc --diagnostics FILE] writes
     these as JSON ([{"diagnostics": [...]}], validated by

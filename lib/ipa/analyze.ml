@@ -260,6 +260,21 @@ let assemble (m : Ir.module_) cg ~infos ~summaries ~propagated ~cfgs : result =
 
 let summary_of result name = List.assoc name result.r_summaries
 
+let cfg_blocks result =
+  List.concat_map
+    (fun (proc, cfg) ->
+      Array.to_list
+        (Array.map
+           (fun (b : Cfg.block) ->
+             {
+               Rgnfile.Files.cb_proc = proc;
+               cb_id = b.Cfg.id;
+               cb_label = b.Cfg.label;
+               cb_succs = b.Cfg.succs;
+             })
+           cfg.Cfg.blocks))
+    result.r_cfgs
+
 let write_outputs result ~dir ~project =
   let path name = Filename.concat dir name in
   let rgn = path (project ^ ".rgn") in
@@ -269,21 +284,7 @@ let write_outputs result ~dir ~project =
   Obs.Span.with_ ~cat:"io" ~name:"emit:dgn" (fun () ->
       Rgnfile.Files.save ~path:dgnp (Rgnfile.Files.write_dgn result.r_dgn));
   let cfgp = path (project ^ ".cfg") in
-  let blocks =
-    List.concat_map
-      (fun (proc, cfg) ->
-        Array.to_list
-          (Array.map
-             (fun (b : Cfg.block) ->
-               {
-                 Rgnfile.Files.cb_proc = proc;
-                 cb_id = b.Cfg.id;
-                 cb_label = b.Cfg.label;
-                 cb_succs = b.Cfg.succs;
-               })
-             cfg.Cfg.blocks))
-      result.r_cfgs
-  in
+  let blocks = cfg_blocks result in
   Obs.Span.with_ ~cat:"io" ~name:"emit:cfg" (fun () ->
       Rgnfile.Files.save ~path:cfgp (Rgnfile.Files.write_cfg blocks));
   [ rgn; dgnp; cfgp ]

@@ -77,6 +77,10 @@ val display_bounds :
 val summary_of : result -> string -> Summary.t
 (** @raise Not_found for unknown procedures. *)
 
+val cfg_blocks : result -> Rgnfile.Files.cfg_block list
+(** Every procedure's CFG blocks as [.cfg] file records, in [r_cfgs]
+    order. *)
+
 val write_outputs : result -> dir:string -> project:string -> string list
-(** Writes [<project>.rgn], [<project>.dgn], [<project>.cfg] plus copies of
-    the sources; returns the paths written. *)
+(** Writes [<project>.rgn], [<project>.dgn] and [<project>.cfg]; returns
+    the paths written. *)

@@ -10,11 +10,6 @@ type t = {
   dep_carried : bool;
 }
 
-let kind_to_string = function
-  | Flow -> "flow"
-  | Anti -> "anti"
-  | Output -> "output"
-
 let kind_of m1 m2 =
   match m1, m2 with
   | Mode.DEF, Mode.DEF -> Some Output
@@ -29,36 +24,6 @@ let ivar_sym m pu (loop : Wn.t) =
   let st = (Wn.kid loop 0).Wn.st_idx in
   Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st ~name:(Ir.st_name m pu st)
 
-let body_effects m summaries pu (wn : Wn.t) =
-  let info = Collect.run_body m pu wn in
-  let direct =
-    List.filter_map
-      (fun (a : Collect.access) ->
-        match a.Collect.ac_mode with
-        | Mode.USE | Mode.DEF ->
-          Some (a.Collect.ac_st, a.Collect.ac_mode, a.Collect.ac_region)
-        | Mode.FORMAL | Mode.PASSED | Mode.RUSE | Mode.RDEF -> None)
-      info.Collect.p_accesses
-  in
-  let from_calls =
-    List.concat_map
-      (fun site -> Parallel.site_effects m summaries ~caller:pu site)
-      info.Collect.p_sites
-  in
-  direct @ from_calls
-
-(* [base] is the loop-bounds system, built once per dependence question and
-   reused across every access pair (it used to be re-normalized from the raw
-   constraint list inside each pair).  Grouping does not change the meet's
-   normalized form, so answers are unaffected. *)
-let feasible_with base extras r1 r2' =
-  let sys =
-    System.meet (r1 : Region.t).Region.sys (r2' : Region.t).Region.sys
-  in
-  let sys = System.meet sys base in
-  let sys = List.fold_left (fun s c -> System.add c s) sys extras in
-  System.feasible sys
-
 let loop_dependences m summaries pu (loop : Wn.t) =
   if loop.Wn.operator <> Wn.OPR_DO_LOOP then
     invalid_arg "Deps.loop_dependences: not a DO_LOOP";
@@ -68,7 +33,7 @@ let loop_dependences m summaries pu (loop : Wn.t) =
     System.of_list
       (bound_constraints m pu loop v @ bound_constraints m pu loop v')
   in
-  let effects = body_effects m summaries pu (Wn.kid loop 4) in
+  let effects = Parallel.body_effects m summaries pu (Wn.kid loop 4) in
   let deps = ref [] in
   List.iter
     (fun (st1, m1, r1) ->
@@ -80,7 +45,7 @@ let loop_dependences m summaries pu (loop : Wn.t) =
             | Some k ->
               let r2' = Region.subst_sym [ (v, Expr.var v') ] r2 in
               let carried =
-                feasible_with bounds
+                Parallel.feasible_with bounds
                   [
                     Constr.le
                       (Expr.add_const Numeric.Rat.one (Expr.var v))
@@ -89,7 +54,7 @@ let loop_dependences m summaries pu (loop : Wn.t) =
                   r1 r2'
               in
               let same_iter =
-                feasible_with bounds
+                Parallel.feasible_with bounds
                   [ Constr.eq (Expr.var v) (Expr.var v') ]
                   r1 r2'
               in
@@ -114,11 +79,11 @@ let fusion_preventing m summaries pu ~first ~second =
   let v = Var.fresh ~name:"fi" Var.Sym in
   let v' = Var.fresh ~name:"fi'" Var.Sym in
   let e1 =
-    body_effects m summaries pu (Wn.kid first 4)
+    Parallel.body_effects m summaries pu (Wn.kid first 4)
     |> List.map (fun (st, md, r) -> (st, md, Region.subst_sym [ (v1, Expr.var v) ] r))
   in
   let e2 =
-    body_effects m summaries pu (Wn.kid second 4)
+    Parallel.body_effects m summaries pu (Wn.kid second 4)
     |> List.map (fun (st, md, r) -> (st, md, Region.subst_sym [ (v2, Expr.var v') ] r))
   in
   let bounds =
@@ -136,7 +101,7 @@ let fusion_preventing m summaries pu ~first ~second =
       List.iter
         (fun (st2, m2, r2') ->
           if st1 = st2 && kind_of m1 m2 <> None then
-            if feasible_with bounds [ backward ] r1 r2' then begin
+            if Parallel.feasible_with bounds [ backward ] r1 r2' then begin
               let name = Ir.st_name m pu st1 in
               if not (List.mem name !offenders) then
                 offenders := name :: !offenders
@@ -151,7 +116,7 @@ let interchange_preventing m summaries pu ~outer ~inner =
   let vi = ivar_sym m pu outer and vj = ivar_sym m pu inner in
   let vi' = Var.fresh ~name:(Var.name vi ^ "'") Var.Sym in
   let vj' = Var.fresh ~name:(Var.name vj ^ "'") Var.Sym in
-  let effects = body_effects m summaries pu (Wn.kid inner 4) in
+  let effects = Parallel.body_effects m summaries pu (Wn.kid inner 4) in
   let bounds =
     System.of_list
       (bound_constraints m pu outer vi
@@ -175,7 +140,7 @@ let interchange_preventing m summaries pu ~outer ~inner =
             let r2' =
               Region.subst_sym [ (vi, Expr.var vi'); (vj, Expr.var vj') ] r2
             in
-            if feasible_with bounds direction r1 r2' then begin
+            if Parallel.feasible_with bounds direction r1 r2' then begin
               let name = Ir.st_name m pu st1 in
               if not (List.mem name !offenders) then
                 offenders := name :: !offenders

@@ -15,8 +15,6 @@ type t = {
   dep_carried : bool;  (** by the analyzed loop *)
 }
 
-val kind_to_string : kind -> string
-
 val loop_dependences :
   Whirl.Ir.module_ ->
   (string * Summary.t) list ->

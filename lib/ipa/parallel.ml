@@ -59,32 +59,9 @@ type loop_verdict = {
   lv_private_scalars : string list;
 }
 
-(* feasibility of "iterations i and i' (i < i') touch a common element" *)
-let cross_iteration_conflict loop_bounds_constraints v v' r1 r2 =
-  let r2' = Region.subst_sym [ (v, Expr.var v') ] r2 in
-  let sys =
-    System.meet (r1 : Region.t).Region.sys (r2' : Region.t).Region.sys
-  in
-  let sys = System.meet sys loop_bounds_constraints in
-  let sys =
-    System.add
-      (Constr.le
-         (Expr.add_const Numeric.Rat.one (Expr.var v))
-         (Expr.var v'))
-      sys
-  in
-  System.feasible sys
-
-let loop_parallel m summaries pu (w : Wn.t) =
-  if w.Wn.operator <> Wn.OPR_DO_LOOP then
-    invalid_arg "Parallel.loop_parallel: not a DO_LOOP";
-  let ivar_st = (Wn.kid w 0).Wn.st_idx in
-  let ivar_name = Ir.st_name m pu ivar_st in
-  let v = Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st:ivar_st ~name:ivar_name in
-  let v' = Var.fresh ~name:(ivar_name ^ "'") Var.Sym in
-  let body = Wn.kid w 4 in
+(* direct USE/DEF accesses of a loop body plus translated callee effects *)
+let body_effects m summaries pu (body : Wn.t) : effects =
   let info = Collect.run_body m pu body in
-  (* direct accesses plus translated callee effects *)
   let direct =
     List.filter_map
       (fun (a : Collect.access) ->
@@ -99,11 +76,32 @@ let loop_parallel m summaries pu (w : Wn.t) =
       (fun site -> site_effects m summaries ~caller:pu site)
       info.Collect.p_sites
   in
-  let all = direct @ from_calls in
+  direct @ from_calls
+
+(* [base] is the loop-bounds system, built once per question and reused
+   across every access pair.  Grouping does not change the meet's
+   normalized form, so answers are unaffected. *)
+let feasible_with base extras (r1 : Region.t) (r2 : Region.t) =
+  let sys = System.meet (System.meet r1.Region.sys r2.Region.sys) base in
+  System.feasible (List.fold_left (fun s c -> System.add c s) sys extras)
+
+let loop_parallel m summaries pu (w : Wn.t) =
+  if w.Wn.operator <> Wn.OPR_DO_LOOP then
+    invalid_arg "Parallel.loop_parallel: not a DO_LOOP";
+  let ivar_st = (Wn.kid w 0).Wn.st_idx in
+  let ivar_name = Ir.st_name m pu ivar_st in
+  let v = Collect.sym_var ~m ~pu:pu.Ir.pu_name ~st:ivar_st ~name:ivar_name in
+  let v' = Var.fresh ~name:(ivar_name ^ "'") Var.Sym in
+  let body = Wn.kid w 4 in
+  let all = body_effects m summaries pu body in
   (* direction-aware bounds of the two iteration variables *)
   let bounds =
     System.of_list
       (Collect.loop_bounds_for m pu w v @ Collect.loop_bounds_for m pu w v')
+  in
+  (* iterations i and i' (i < i') touch a common element *)
+  let later =
+    Constr.le (Expr.add_const Numeric.Rat.one (Expr.var v)) (Expr.var v')
   in
   let conflicts = ref [] in
   List.iter
@@ -111,7 +109,8 @@ let loop_parallel m summaries pu (w : Wn.t) =
       List.iter
         (fun (st2, m2, r2) ->
           if st1 = st2 && involves_def m1 m2 then
-            if cross_iteration_conflict bounds v v' r1 r2 then
+            let r2' = Region.subst_sym [ (v, Expr.var v') ] r2 in
+            if feasible_with bounds [ later ] r1 r2' then
               conflicts :=
                 {
                   c_array = Ir.st_name m pu st1;

@@ -33,6 +33,26 @@ val site_effects :
   effects
 (** The callee's summarized side effects translated at the call site. *)
 
+val body_effects :
+  Whirl.Ir.module_ ->
+  (string * Summary.t) list ->
+  Whirl.Ir.pu ->
+  Whirl.Wn.t ->
+  effects
+(** A loop body's direct USE/DEF accesses followed by the translated
+    effects of the calls it makes. *)
+
+val feasible_with :
+  Linear.System.t ->
+  Linear.Constr.t list ->
+  Regions.Region.t ->
+  Regions.Region.t ->
+  bool
+(** [feasible_with bounds extras r1 r2]: can a point lie in both regions
+    under the loop-bounds system [bounds] and the extra constraints?  The
+    caller renames [r2]'s iteration variables first, so [extras] can order
+    the two iterations (e.g. [i + 1 <= i']). *)
+
 val sites_independent :
   Whirl.Ir.module_ ->
   (string * Summary.t) list ->

@@ -114,9 +114,6 @@ let loc_of_stmt = function
 let loc_of_lvalue = function
   | Lvar (_, l) | Larr (_, _, l) | Lcoarr (_, _, _, l) -> l
 
-let lvalue_name = function
-  | Lvar (n, _) | Larr (n, _, _) | Lcoarr (n, _, _, _) -> n
-
 let pp_dtype ppf t = Format.pp_print_string ppf (dtype_name t)
 
 let binop_str = function
@@ -146,74 +143,6 @@ and pp_expr_list ppf es =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
     pp_expr ppf es
-
-let pp_lvalue ppf = function
-  | Lvar (n, _) -> Format.pp_print_string ppf n
-  | Larr (n, idx, _) -> Format.fprintf ppf "%s(%a)" n pp_expr_list idx
-  | Lcoarr (n, idx, img, _) ->
-    Format.fprintf ppf "%s(%a)[%a]" n pp_expr_list idx pp_expr img
-
-let rec pp_stmt ppf = function
-  | Assign (lv, e, _) -> Format.fprintf ppf "@[%a = %a@]" pp_lvalue lv pp_expr e
-  | If (c, t, [], _) ->
-    Format.fprintf ppf "@[<v 2>if (%a) then@,%a@]@,end if" pp_expr c pp_body t
-  | If (c, t, e, _) ->
-    Format.fprintf ppf "@[<v 2>if (%a) then@,%a@]@,@[<v 2>else@,%a@]@,end if"
-      pp_expr c pp_body t pp_body e
-  | Do d ->
-    let pp_step ppf = function
-      | None -> ()
-      | Some s -> Format.fprintf ppf ", %a" pp_expr s
-    in
-    Format.fprintf ppf "@[<v 2>do %s = %a, %a%a@,%a@]@,end do" d.do_var
-      pp_expr d.do_lo pp_expr d.do_hi pp_step d.do_step pp_body d.do_body
-  | While (c, body, _) ->
-    Format.fprintf ppf "@[<v 2>do while (%a)@,%a@]@,end do" pp_expr c pp_body body
-  | Call (n, args, _) -> Format.fprintf ppf "call %s(%a)" n pp_expr_list args
-  | Return (None, _) -> Format.pp_print_string ppf "return"
-  | Return (Some e, _) -> Format.fprintf ppf "return %a" pp_expr e
-  | Print (es, _) -> Format.fprintf ppf "print *, %a" pp_expr_list es
-  | Nop _ -> Format.pp_print_string ppf "continue"
-
-and pp_body ppf stmts =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_stmt ppf stmts
-
-let pp_dim ppf d =
-  if d.dim_assumed_shape then Format.pp_print_string ppf ":"
-  else
-    match d.dim_hi with
-    | Some hi -> Format.fprintf ppf "%a:%a" pp_expr d.dim_lo pp_expr hi
-    | None -> Format.fprintf ppf "%a:*" pp_expr d.dim_lo
-
-let pp_decl ppf d =
-  match d.decl_dims with
-  | [] -> Format.fprintf ppf "%a :: %s" pp_dtype d.decl_type d.decl_name
-  | dims ->
-    Format.fprintf ppf "%a :: %s(%a)" pp_dtype d.decl_type d.decl_name
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp_dim)
-      dims
-
-let pp_proc ppf p =
-  let kind =
-    match p.proc_kind with
-    | Program -> "program"
-    | Subroutine -> "subroutine"
-    | Function _ -> "function"
-  in
-  Format.fprintf ppf "@[<v 2>%s %s(%a)@,%a@,%a@]@,end" kind p.proc_name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_string)
-    p.proc_params
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_decl)
-    p.proc_decls pp_body p.proc_body
-
-let pp_unit ppf u =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_proc)
-    u.unit_procs
 
 let rec expr_equal a b =
   match a, b with

@@ -46,7 +46,3 @@ let load_isolated ~files =
       ([], []) files
   in
   (analyze (List.rev asts), List.rev bad)
-
-let load_paths paths =
-  Obs.Span.with_ ~cat:"phase" ~name:"frontend" @@ fun () ->
-  analyze (List.map parse_file paths)

@@ -21,6 +21,3 @@ val load_isolated :
     order.  Semantic analysis runs over the surviving files (and may still
     raise, e.g. when a survivor calls into a dropped file).  Backs
     [uhc --keep-going]. *)
-
-val load_paths : string list -> Sema.program
-(** Reads each path from disk. *)

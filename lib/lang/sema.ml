@@ -419,11 +419,3 @@ let analyze units =
     prog_files = List.map (fun u -> u.Ast.unit_file) units;
     prog_warnings = List.rev !warnings;
   }
-
-let proc_arrays pi =
-  String_map.fold
-    (fun n sym acc ->
-      match sym with
-      | Sym_array (s, cls) -> (n, s, cls) :: acc
-      | Sym_scalar _ | Sym_const _ -> acc)
-    pi.pi_symbols []

@@ -64,7 +64,3 @@ val analyze : Ast.unit_ list -> program
 
 val const_eval : symbol String_map.t -> Ast.expr -> int option
 (** Fold an integer-constant expression using PARAMETER/#define bindings. *)
-
-val proc_arrays : proc_info -> (string * array_sig * var_class) list
-(** All array symbols visible in the procedure, declaration order not
-    guaranteed. *)

@@ -95,14 +95,6 @@ let eval valuation t =
     (fun v c acc -> Rat.add acc (Rat.mul c (valuation v)))
     t.terms t.constant
 
-let partial_eval valuation t =
-  Var.Map.fold
-    (fun v c acc ->
-      match valuation v with
-      | Some r -> add_const (Rat.mul c r) acc
-      | None -> add acc (monom c v))
-    t.terms (const t.constant)
-
 let fold f t init = Var.Map.fold f t.terms init
 
 let denominator_lcm t =

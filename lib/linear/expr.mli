@@ -40,9 +40,6 @@ val map_vars : (Var.t -> Var.t) -> t -> t
 val eval : (Var.t -> Rat.t) -> t -> Rat.t
 (** @raise Not_found if the valuation lacks a variable of [t]. *)
 
-val partial_eval : (Var.t -> Rat.t option) -> t -> t
-(** Substitutes the variables the valuation knows, keeps the rest. *)
-
 val fold : (Var.t -> Rat.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val denominator_lcm : t -> int

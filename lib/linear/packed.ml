@@ -23,7 +23,7 @@ type row = {
   cs : int array;  (* non-zero integer coefficients, parallel to [ids] *)
   k : int;  (* constant term *)
   eq : bool;  (* [true] for equalities, [false] for [<= 0] *)
-  anc : int;  (* bitset of original ancestor rows (Imbert counting);
+  anc : int;  (* bitset of original ancestor rows (Imbert's criterion);
                  0 means "untracked" and disables pruning *)
 }
 

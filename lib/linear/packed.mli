@@ -2,8 +2,8 @@
 
     Constraints whose (already Constr-normalized) coefficients are machine
     integers pack into flat int arrays; Fourier-Motzkin elimination over the
-    packed rows uses pure integer arithmetic with Imbert-style parent
-    counting, dominance pruning, and optional GCD tightening.
+    packed rows uses pure integer arithmetic with Imbert-style ancestor
+    bounds, dominance pruning, and optional GCD tightening.
 
     Any arithmetic overflow raises {!Numeric.Rat.Overflow}; callers fall
     back to the exact rational reference path. *)

@@ -3,18 +3,7 @@
    [uhc --metrics] dumps and in the [Engine.Stats] record without being
    kept twice.  Totals are exact under parallelism (wall-clock sums are
    per-query deltas, so concurrent queries may sum to more than elapsed
-   time — they measure solver work, not latency).
-
-   [quiet] suppresses counting on the calling domain: System uses it when
-   a domain re-computes a query whose memo entry another domain already
-   claimed, which keeps every counter outside the ctx_* group
-   scheduling-independent — each distinct system is counted exactly once
-   however the engine's pool interleaves the work.
-
-   The ctx_* counters are telemetry for the bounds/projection memos in
-   {!System} (the prefix predates them living there): they are bumped unconditionally (including under [quiet])
-   because whether a racing query hits depends on arrival order, and they
-   are deliberately excluded from [pp_deterministic]. *)
+   time — they measure solver work, not latency). *)
 
 type t = {
   queries : int;  (* System.feasible entry points answered *)
@@ -24,7 +13,7 @@ type t = {
   syntactic_hits : int;  (* implies decided without any elimination *)
   fm_runs : int;  (* packed Fourier-Motzkin eliminations performed *)
   fm_rows_built : int;  (* rows produced by FM combination *)
-  fm_rows_pruned : int;  (* rows dropped by Imbert counting / dominance *)
+  fm_rows_pruned : int;  (* rows dropped by Imbert's criterion / dominance *)
   tighten_fallbacks : int;  (* GCD tightening refuted; exact rerun needed *)
   overflow_fallbacks : int;  (* packed arithmetic overflowed; used reference *)
   reference_runs : int;  (* queries answered by the reference path *)
@@ -65,19 +54,8 @@ let all =
     c_implies_wall_ns; c_ctx_bound_hits; c_ctx_proj_hits;
   ]
 
-(* Per-domain suppression flag for [quiet]. *)
-let quiet_key = Domain.DLS.new_key (fun () -> ref false)
-
-let quiet f =
-  let q = Domain.DLS.get quiet_key in
-  let saved = !q in
-  q := true;
-  Fun.protect ~finally:(fun () -> q := saved) f
-
-let counting () = not !(Domain.DLS.get quiet_key)
-
-let bump c = if counting () then Obs.Metrics.Counter.incr c
-let add c n = if counting () then Obs.Metrics.Counter.add c n
+let bump = Obs.Metrics.Counter.incr
+let add = Obs.Metrics.Counter.add
 
 let query () = bump c_queries
 let cache_hit () = bump c_cache_hits
@@ -96,9 +74,8 @@ let implies_query () = bump c_implies_queries
 let implies_fresh () = bump c_implies_fresh
 let add_implies_ns n = add c_implies_wall_ns n
 
-(* Memo telemetry: unconditional (see the module comment). *)
-let ctx_bound_hit () = Obs.Metrics.Counter.incr c_ctx_bound_hits
-let ctx_proj_hit () = Obs.Metrics.Counter.incr c_ctx_proj_hits
+let ctx_bound_hit () = bump c_ctx_bound_hits
+let ctx_proj_hit () = bump c_ctx_proj_hits
 
 let get = Obs.Metrics.Counter.get
 
@@ -120,9 +97,9 @@ let snapshot () =
     wall_fast_ns = get c_wall_fast_ns;
     wall_reference_ns = get c_wall_reference_ns;
     implies_queries;
-    (* every entry point either claims a fresh memo key (counted in
-       solver.implies.fresh) or finds it claimed, so hits are derived and
-       stay scheduling-independent *)
+    (* every entry point either computes a fresh memo key (counted in
+       solver.implies.fresh) or is answered from it, so hits are derived
+       and stay scheduling-independent *)
     implies_memo_hits = implies_queries - implies_fresh;
     implies_wall_ns = get c_implies_wall_ns;
     ctx_bound_hits = get c_ctx_bound_hits;
@@ -175,7 +152,8 @@ let to_alist t =
     ("ctx_proj_hits", t.ctx_proj_hits);
   ]
 
-let pp_counters ppf t =
+(* everything but the wall-clock sums, which depend on timing *)
+let pp_deterministic ppf t =
   Format.fprintf ppf
     "solver: %d queries (%d cache hit / %d miss), %d box-refuted, %d \
      syntactic@\n"
@@ -186,23 +164,15 @@ let pp_counters ppf t =
     t.fm_runs t.fm_rows_built t.fm_rows_pruned t.tighten_fallbacks
     t.overflow_fallbacks t.reference_runs;
   Format.fprintf ppf "  implies: %d queries (%d memo hit)@\n" t.implies_queries
-    t.implies_memo_hits
+    t.implies_memo_hits;
+  Format.fprintf ppf "  memos: %d bound hits, %d proj hits@\n"
+    t.ctx_bound_hits t.ctx_proj_hits
 
 let pp ppf t =
-  pp_counters ppf t;
-  Format.fprintf ppf
-    "  memos: %d bound hits, %d proj hits@\n"
-    t.ctx_bound_hits t.ctx_proj_hits;
+  pp_deterministic ppf t;
   Format.fprintf ppf
     "  feasible wall: fast %.3f ms, reference %.3f ms; implies wall %.3f \
      ms@\n"
     (float_of_int t.wall_fast_ns /. 1e6)
     (float_of_int t.wall_reference_ns /. 1e6)
     (float_of_int t.implies_wall_ns /. 1e6)
-
-let pp_deterministic ppf t =
-  (* everything but the wall-clock sums and the memo telemetry line: those
-     depend on timing/scheduling (whether a racing query found the memo
-     entry yet), the rest are scheduling-independent (see
-     [quiet]) *)
-  pp_counters ppf t

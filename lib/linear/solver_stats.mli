@@ -5,15 +5,13 @@
     update them without locks.  [snapshot]/[diff] let callers (the engine,
     the bench harness) attribute counter deltas to a particular run.
 
-    All counters except the wall-clock sums and the [ctx_*] group are
-    scheduling-independent: the first domain to reach a memo key claims it
-    and computes loudly, and a domain that re-computes a key another domain
-    already claimed runs under {!quiet}, so each distinct system
-    contributes to [cache_misses], [fm_runs], the row counts and the
-    fallback counters exactly once however the pool interleaves the work —
-    [--stats] counter output is identical at any [--jobs] setting.  The
-    bounds/projection memo telemetry ([ctx_*]) depends on arrival order by
-    design and is excluded from {!pp_deterministic}. *)
+    Every counter except the wall-clock sums is scheduling-independent:
+    {!System}'s memos compute each distinct key exactly once (later
+    arrivals wait for that answer and count a hit), so each distinct
+    system contributes to [cache_misses], [fm_runs], the row counts and
+    the fallback counters exactly once, and the hit counters equal calls
+    minus distinct keys, however the pool interleaves the work — [--stats]
+    counter output is identical at any [--jobs] setting. *)
 
 type t = {
   queries : int;  (** [System.feasible] entry points answered *)
@@ -24,7 +22,7 @@ type t = {
   syntactic_hits : int;  (** [implies] decided without any elimination *)
   fm_runs : int;  (** packed Fourier-Motzkin eliminations performed *)
   fm_rows_built : int;  (** rows produced by FM pair combination *)
-  fm_rows_pruned : int;  (** rows dropped by Imbert counting / dominance *)
+  fm_rows_pruned : int;  (** rows dropped by Imbert's criterion / dominance *)
   tighten_fallbacks : int;
       (** GCD tightening refuted a system; exact re-run was needed *)
   overflow_fallbacks : int;
@@ -35,11 +33,12 @@ type t = {
       (** nanoseconds inside reference-path feasible queries *)
   implies_queries : int;  (** [System.implies] entry points answered *)
   implies_memo_hits : int;
-      (** implies queries that found their (system id, constraint id) key
-          already claimed in the memo.  Derived as [implies_queries - fresh
-          computes], so the total is scheduling-independent *)
+      (** implies queries answered from the (system id, constraint id)
+          memo.  Derived as [implies_queries - fresh computes] *)
   implies_wall_ns : int;  (** nanoseconds inside [System.implies] queries *)
-  ctx_bound_hits : int;  (** [System.bounds] results served from the memo *)
+  ctx_bound_hits : int;
+      (** [System.bounds] results served from the memo (the [ctx_] prefix
+          predates the memo living in {!System}) *)
   ctx_proj_hits : int;
       (** [System.project_onto] results served from the memo *)
 }
@@ -65,9 +64,6 @@ val implies_fresh : unit -> unit
 
 val add_implies_ns : int -> unit
 
-(** Bounds/projection memo telemetry: bumped unconditionally, including
-    under {!quiet} (see the determinism note above). *)
-
 val ctx_bound_hit : unit -> unit
 val ctx_proj_hit : unit -> unit
 
@@ -82,20 +78,11 @@ val to_alist : t -> (string * int) list
     serialization the run ledger and other exporters use, kept here so a
     new counter can't be added without appearing in them. *)
 
-val quiet : (unit -> 'a) -> 'a
-(** Run [f] with counting suppressed on the calling domain ({!System} uses
-    this for redundant cross-domain recomputes; see the determinism note
-    above). *)
-
-val counting : unit -> bool
-(** [false] inside {!quiet} on the calling domain. *)
-
 val reset : unit -> unit
 (** Zero every counter (bench harness only; the engine uses [diff]). *)
 
 val pp : Format.formatter -> t -> unit
 
 val pp_deterministic : Format.formatter -> t -> unit
-(** Like [pp] without the wall-clock and memo telemetry lines —
-    every printed number is scheduling-independent, so the output is
-    diffable in CI. *)
+(** Like [pp] without the wall-clock line — every printed number is
+    scheduling-independent, so the output is diffable in CI. *)

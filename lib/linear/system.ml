@@ -187,33 +187,11 @@ let use_cache = Atomic.make true
    exact answers immediately. *)
 let step_budget = Atomic.make (-1)
 
-(* The guard below runs on every implies query, so the conjunction over
-   the cold knobs is cached in one atomic refreshed by the setters.
-   [Fault.enabled] cannot be folded in — the fault layer is configured
-   outside this module — but it is itself a single atomic load. *)
-let memo_ok_cached = Atomic.make true
-
-let refresh_memo_ok () =
-  Atomic.set memo_ok_cached
-    (Atomic.get use_cache
-    && (not (Atomic.get use_reference))
-    && Atomic.get step_budget < 0)
-
-let set_reference_mode b =
-  Atomic.set use_reference b;
-  refresh_memo_ok ()
-
-let reference_mode () = Atomic.get use_reference
-
-let set_cache_enabled b =
-  Atomic.set use_cache b;
-  refresh_memo_ok ()
+let set_reference_mode b = Atomic.set use_reference b
+let set_cache_enabled b = Atomic.set use_cache b
 
 let set_step_budget n =
-  (match n with
-  | None -> Atomic.set step_budget (-1)
-  | Some n -> Atomic.set step_budget (max 0 n));
-  refresh_memo_ok ()
+  Atomic.set step_budget (match n with None -> -1 | Some n -> max 0 n)
 
 let query_cost t = List.length t.cs * (1 + Var.Set.cardinal (vars t))
 
@@ -234,64 +212,70 @@ let box_feasible t =
   | None -> true
   | Some rows -> ( match Packed.box_of rows with None -> false | Some _ -> true)
 
-(* One shared memo per query kind: [feasible] keyed by system id, [implies]
-   by (system id, constraint id).  The first domain to reach a key claims
-   it with a [Pending] entry, counts it as fresh, computes loudly and
-   settles the entry; a later arrival that finds the key still pending
-   counts a hit and recomputes under [Solver_stats.quiet].  A quiet caller
-   never claims: the loud computation it duplicates reaches the same keys
-   and must be the one to count them.  So every deterministic counter sees
-   each distinct key once, however the pool schedules queries across
-   domains.
+(* One shared memo per query kind: [feasible] keyed by system id,
+   [implies] by (system id, constraint id), [bounds] by (system id, var
+   id), [project_onto] by (system id, sorted kept var ids).  All four obey
+   one rule, [memoized]: the first domain to reach a key marks it
+   [Pending] and computes; a later arrival waits on the table's condition
+   until the key is [Done], then counts a hit.  A computation that raises
+   removes its key and wakes the waiters, which retry.  So each distinct
+   key is computed, and its work counted, exactly once however the pool
+   schedules queries across domains.
 
-   A degraded [feasible] query (budget or fault) leaves [Seen] instead:
-   the key is counted, but no answer is owed, so the next exact query
-   takes the key over and settles it. *)
-type 'v slot = Seen | Pending | Done of 'v
+   Deadlock freedom rests on one invariant: the only nesting is that an
+   [implies] computation calls [feasible]; [feasible], [bounds] and
+   [project_onto] computations query no memo.  So a domain holding a
+   pending key only ever waits on a table below it, never on its own. *)
+type 'v slot = Pending | Done of 'v
 
-type ('k, 'v) memo = { tbl : ('k, 'v) Hashtbl.t; lock : Mutex.t }
+type ('k, 'v) memo = {
+  tbl : ('k, 'v slot) Hashtbl.t;
+  lock : Mutex.t;
+  settled : Condition.t;
+}
 
-let memo () = { tbl = Hashtbl.create 4096; lock = Mutex.create () }
-let feasible_memo : (int, bool slot) memo = memo ()
-let implies_memo : (int * int, bool slot) memo = memo ()
+let memo () =
+  { tbl = Hashtbl.create 4096; lock = Mutex.create ();
+    settled = Condition.create () }
 
-let claim ?(degrades = false) m key :
-    [ `Done of bool | `Fresh | `Owed | `Claimed ] =
-  Mutex.lock m.lock;
-  let r =
-    match Hashtbl.find_opt m.tbl key with
-    | Some (Done r) -> `Done r
-    | Some Pending -> `Claimed
-    | Some Seen when degrades -> `Claimed
-    | Some Seen ->
-      Hashtbl.replace m.tbl key Pending;
-      `Owed
-    | None when not (Solver_stats.counting ()) -> `Claimed
-    | None ->
-      Hashtbl.add m.tbl key (if degrades then Seen else Pending);
-      `Fresh
-  in
-  Mutex.unlock m.lock;
-  r
-
-let find m key =
-  Mutex.lock m.lock;
-  let r = Hashtbl.find_opt m.tbl key in
-  Mutex.unlock m.lock;
-  r
-
-let store m key v =
-  Mutex.lock m.lock;
-  Hashtbl.replace m.tbl key v;
-  Mutex.unlock m.lock
-
-let settle m key r = store m key (Done r)
-
-(* Exact results of the output-sensitive queries: [bounds] keyed by
-   (system id, var id), [project_onto] by (system id, sorted kept var ids)
-   holding the canonical constraint list. *)
+let feasible_memo : (int, bool) memo = memo ()
+let implies_memo : (int * int, bool) memo = memo ()
 let bounds_memo : (int * int, Rat.t option * Rat.t option) memo = memo ()
-let proj_memo : (int * int list, Constr.t list) memo = memo ()
+let proj_memo : (int * int list, t) memo = memo ()
+
+(* The answer for [key]: from the table (running [hit]) when some domain
+   already computed it, else from [compute] on this domain. *)
+let memoized m key ~hit compute =
+  Mutex.lock m.lock;
+  let rec await () =
+    match Hashtbl.find_opt m.tbl key with
+    | Some (Done v) ->
+      Mutex.unlock m.lock;
+      hit ();
+      v
+    | Some Pending ->
+      Condition.wait m.settled m.lock;
+      await ()
+    | None ->
+      Hashtbl.add m.tbl key Pending;
+      Mutex.unlock m.lock;
+      let settle answer =
+        Mutex.lock m.lock;
+        (match answer with
+        | Some v -> Hashtbl.replace m.tbl key (Done v)
+        | None -> Hashtbl.remove m.tbl key);
+        Condition.broadcast m.settled;
+        Mutex.unlock m.lock
+      in
+      (match compute () with
+      | v ->
+        settle (Some v);
+        v
+      | exception e ->
+        settle None;
+        raise e)
+  in
+  await ()
 
 let reset m =
   Mutex.lock m.lock;
@@ -409,42 +393,33 @@ let feasible t =
     let t0 = now_ns () in
     (* Degradation test, checked BEFORE the memo answers: deterministic in
        the system's content (and the fault seed), never in scheduling or in
-       whatever answers previous runs left in the memo.  Degraded answers
-       are not memoized either, so lifting the budget (or the fault spec)
-       restores exact answers immediately.  The fault key stays the content
-       serialization — intern ids differ across runs — and is only built
-       when a fault spec is active. *)
+       whatever answers previous runs left in the memo.  A degraded query
+       bypasses the memo entirely (it neither reads, writes nor counts a
+       key), so lifting the budget (or the fault spec) restores exact
+       answers immediately and [solver.degraded] counts calls.  The fault
+       key stays the content serialization — intern ids differ across runs
+       — and is only built when a fault spec is active. *)
     let degrades =
       over_budget t
       || (Fault.enabled () && Fault.fires Fault.Solver ~key:(key_of t))
     in
-    let degraded fresh =
-      if fresh then Obs.Metrics.Counter.incr c_degraded;
-      (box_feasible t, `Prefilter)
-    in
     let r, tag =
-      if not (Atomic.get use_cache) then
-        if degrades then degraded true else compute_feasible t
-      else
-        match claim ~degrades feasible_memo t.id with
-        | c when degrades -> degraded (c = `Fresh)
-        | `Done r ->
-          Solver_stats.cache_hit ();
-          (r, `Hit)
-        | `Fresh ->
-          Solver_stats.cache_miss ();
-          let r, tag = compute_feasible t in
-          settle feasible_memo t.id r;
-          (r, tag)
-        | `Owed ->
-          (* counted by the degraded query that saw it first *)
-          Solver_stats.cache_hit ();
-          let r, tag = Solver_stats.quiet (fun () -> compute_feasible t) in
-          settle feasible_memo t.id r;
-          (r, tag)
-        | `Claimed ->
-          Solver_stats.cache_hit ();
-          Solver_stats.quiet (fun () -> compute_feasible t)
+      if degrades then begin
+        Obs.Metrics.Counter.incr c_degraded;
+        (box_feasible t, `Prefilter)
+      end
+      else if not (Atomic.get use_cache) then compute_feasible t
+      else begin
+        let tag = ref `Hit in
+        let r =
+          memoized feasible_memo t.id ~hit:Solver_stats.cache_hit (fun () ->
+              Solver_stats.cache_miss ();
+              let r, computed = compute_feasible t in
+              tag := computed;
+              r)
+        in
+        (r, !tag)
+      end
     in
     let ns = now_ns () - t0 in
     Solver_stats.add_fast_ns ns;
@@ -506,27 +481,23 @@ let implies_uncached t c =
    is not deliberately measuring raw paths: degraded answers (budget /
    fault) must not be frozen, and reference / cache-off modes exist to
    time the unmemoized paths. *)
-let implies_memo_ok () = Atomic.get memo_ok_cached && not (Fault.enabled ())
+let implies_memo_ok () =
+  Atomic.get use_cache
+  && (not (Atomic.get use_reference))
+  && Atomic.get step_budget < 0
+  && not (Fault.enabled ())
 
 let implies t c =
   Solver_stats.implies_query ();
   let t0 = now_ns () in
+  let fresh () =
+    Solver_stats.implies_fresh ();
+    implies_uncached t c
+  in
   let r =
-    if not (implies_memo_ok ()) then begin
-      Solver_stats.implies_fresh ();
-      implies_uncached t c
-    end
-    else begin
-      let key = (t.id, Constr.id c) in
-      match claim implies_memo key with
-      | `Done r -> r
-      | `Fresh ->
-        Solver_stats.implies_fresh ();
-        let r = implies_uncached t c in
-        settle implies_memo key r;
-        r
-      | `Owed | `Claimed -> Solver_stats.quiet (fun () -> implies_uncached t c)
-    end
+    if implies_memo_ok () then
+      memoized implies_memo (t.id, Constr.id c) ~hit:ignore fresh
+    else fresh ()
   in
   Solver_stats.add_implies_ns (now_ns () - t0);
   r
@@ -620,35 +591,20 @@ let sample t =
    the region layer re-derives both for the same interned system on every
    region rebuild (90%+ intern hit rate), each time paying the reference
    eliminator.  The stored value is exactly what one reference computation
-   produced — these are rendered into .rgn files, and byte-identity holds
-   because a memo hit returns the identical interned value a recompute
-   would. *)
+   produced, so a memo hit returns the identical interned value a
+   recompute would and the rendered .rgn bytes cannot move. *)
 let bounds v t =
-  if Atomic.get use_cache then begin
-    let key = (t.id, Var.id v) in
-    match find bounds_memo key with
-    | Some b ->
-      Solver_stats.ctx_bound_hit ();
-      b
-    | None ->
-      let b = bounds_raw v t in
-      store bounds_memo key b;
-      b
-  end
+  if Atomic.get use_cache then
+    memoized bounds_memo (t.id, Var.id v) ~hit:Solver_stats.ctx_bound_hit
+      (fun () -> bounds_raw v t)
   else bounds_raw v t
 
 let project_onto keep t =
-  if Atomic.get use_cache then begin
-    let key = (t.id, List.map Var.id (Var.Set.elements keep)) in
-    match find proj_memo key with
-    | Some cs ->
-      Solver_stats.ctx_proj_hit ();
-      intern_norm cs
-    | None ->
-      let r = project_onto_raw keep t in
-      store proj_memo key r.cs;
-      r
-  end
+  if Atomic.get use_cache then
+    memoized proj_memo
+      (t.id, List.map Var.id (Var.Set.elements keep))
+      ~hit:Solver_stats.ctx_proj_hit
+      (fun () -> project_onto_raw keep t)
   else project_onto_raw keep t
 
 module Reference = struct

@@ -101,7 +101,11 @@ val sample : t -> (Var.t -> Rat.t) option
     on each negation, {!includes} and {!disjoint} are built on those.  On
     top sits at most one memo per query kind — [feasible] keyed by system
     id, [implies] by (system id, constraint id), [bounds] and
-    [project_onto] by (system id, var ids) — shared by all domains.  The
+    [project_onto] by (system id, var ids) — shared by all domains under
+    one rule: the first domain to reach a key computes it, later arrivals
+    wait for that answer (and retry if the computation raised).  Each
+    distinct key is computed exactly once, so every {!Solver_stats}
+    counter except the wall-clock sums is independent of [--jobs].  The
     exact rational eliminator survives as {!Reference}, the differential
     oracle.
 
@@ -112,8 +116,6 @@ val set_reference_mode : bool -> unit
 (** [true] routes {!feasible}/{!implies}/{!includes}/{!disjoint} through
     the reference eliminator, with the implies memo bypassed. *)
 
-val reference_mode : unit -> bool
-
 val set_step_budget : int option -> unit
 (** Degradation valve for {!feasible} (and through it {!implies} /
     {!includes} / {!disjoint}): a query whose cost — constraint count
@@ -122,9 +124,10 @@ val set_step_budget : int option -> unit
     when the single-variable rows are already contradictory).  The
     degraded direction is conservative everywhere the engine consumes it
     (entailment and disjointness degrade to "cannot prove", so regions
-    only grow).  Degraded answers are counted in the [solver.degraded]
-    metric and never memoized; [None] (the default) restores exact
-    answers.  Reference mode ignores the budget.  The fault-injection
+    only grow).  A degraded query bypasses the memo (it is neither
+    answered from it nor stored in it) and counts one in the
+    [solver.degraded] metric per call; [None] (the default) restores
+    exact answers.  Reference mode ignores the budget.  The fault-injection
     site ["solver"] ({!Fault.Solver}) forces the same degradation on the
     targeted queries. *)
 

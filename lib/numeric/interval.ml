@@ -37,9 +37,6 @@ let contains t n =
   (match t.lo with Infinite -> true | Finite l -> l <= n)
   && (match t.hi with Infinite -> true | Finite h -> n <= h)
 
-let is_bounded t =
-  match t.lo, t.hi with Finite _, Finite _ -> true | _ -> false
-
 let size t =
   match t.lo, t.hi with
   | Finite l, Finite h -> Some (h - l + 1)

@@ -98,7 +98,3 @@ let reset t =
   Array.iter (fun c -> Atomic.set c 0) t.counts;
   Atomic.set t.total 0;
   Atomic.set t.sum 0
-
-let pp_summary ppf t =
-  Format.fprintf ppf "n=%d sum=%d p50=%.0f p95=%.0f p99=%.0f" (count t)
-    (sum t) (percentile t 0.5) (percentile t 0.95) (percentile t 0.99)

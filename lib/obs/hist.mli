@@ -40,6 +40,3 @@ val merge : t -> t -> t
 
 val reset : t -> unit
 (** Zero every bucket (tests / bench harness). *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line [count/sum/p50/p95/p99] rendering. *)

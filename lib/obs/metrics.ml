@@ -116,15 +116,6 @@ let snapshot () =
         | I_hist h -> S_hist (snapshot_hist h) ))
     (sorted_items ())
 
-let reset_all () =
-  List.iter
-    (fun (_, i) ->
-      match i with
-      | I_counter c -> Atomic.set c 0
-      | I_gauge g -> Atomic.set g 0
-      | I_hist h -> Hist.reset h)
-    (sorted_items ())
-
 let dump_json () =
   let b = Buffer.create 4096 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in

@@ -63,9 +63,6 @@ val snapshot : unit -> (string * snapshot) list
 val snapshot_hist : Hist.t -> hist_snapshot
 (** Snapshot one histogram (shared by {!snapshot} and the ledger tests). *)
 
-val reset_all : unit -> unit
-(** Zero every registered instrument (tests / bench harness). *)
-
 val dump_json : unit -> string
 (** The full registry as a JSON document:
     [{"metrics":[{"name":..,"kind":..,...}, ...]}], metrics sorted by name,

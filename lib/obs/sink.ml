@@ -5,16 +5,14 @@ type t = {
   mutex : Mutex.t;
   mutable alloc : float;
   mutable busy : int;
-  mutable n : int;
 }
 
-let create () = { mutex = Mutex.create (); alloc = 0.0; busy = 0; n = 0 }
+let create () = { mutex = Mutex.create (); alloc = 0.0; busy = 0 }
 
 let add t ~alloc_bytes ~busy_ns =
   Mutex.lock t.mutex;
   t.alloc <- t.alloc +. alloc_bytes;
   t.busy <- t.busy + busy_ns;
-  t.n <- t.n + 1;
   Mutex.unlock t.mutex
 
 let with_lock t f =
@@ -25,8 +23,6 @@ let with_lock t f =
 
 let alloc_bytes t = with_lock t (fun () -> t.alloc)
 let busy_ns t = with_lock t (fun () -> t.busy)
-let contributors t = with_lock t (fun () -> t.n)
-
 let ambient : t option Atomic.t = Atomic.make None
 let set_current s = Atomic.set ambient s
 let current () = Atomic.get ambient

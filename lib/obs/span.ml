@@ -13,9 +13,3 @@ let with_ ?(cat = "task") ?(attrs = []) ~name f =
       Trace.end_ ~name;
       raise e
   end
-
-let instant ?(cat = "task") ?(attrs = []) name =
-  if Trace.enabled () then begin
-    Trace.begin_ ~name ~cat ~attrs;
-    Trace.end_ ~name
-  end

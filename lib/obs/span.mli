@@ -16,6 +16,3 @@ val with_ :
 (** [cat] defaults to ["task"]; it groups spans for [dragon profile]
     (["phase"], ["pu"], ["scc"], ["io"], ...).  The span is closed on
     exceptions too. *)
-
-val instant : ?cat:string -> ?attrs:(string * string) list -> string -> unit
-(** A zero-duration marker span. *)

@@ -41,5 +41,3 @@ val of_wn : env -> Whirl.Wn.t -> result
     ILOAD-through-a-declared-1-D-index-array (which yields {!Sparse};
     constant offsets shift the declared bounds, negation flips them).
     Anything else is {!Messy}. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -280,16 +280,6 @@ let pu_to_string m pu =
   write_pu buf m pu;
   Buffer.contents buf
 
-let symtab_to_string st =
-  let buf = Buffer.create 512 in
-  write_symtab buf st;
-  Buffer.contents buf
-
-let pu_digest m pu =
-  let buf = Buffer.create 65536 in
-  add_pu_content buf m pu;
-  Digest.string (Buffer.contents buf)
-
 let symtab_digest st =
   let buf = Buffer.create 4096 in
   add_symtab_content buf st;

@@ -64,6 +64,22 @@ dune exec bin/uhc.exe -- --corpus gen-small --stats-det --jobs 4 \
   >"$out/statsdet4.txt"
 cmp "$out/statsdet1.txt" "$out/statsdet4.txt"
 
+echo "== smoke: uhc --stats-det is jobs-invariant (gen) =="
+# the pinned 201-file corpus: enough shared systems that domains race for
+# the same solver memo keys, so every memo counter must still agree
+dune exec bin/uhc.exe -- --corpus gen --stats-det --jobs 1 \
+  >"$out/genstats1.txt"
+dune exec bin/uhc.exe -- --corpus gen --stats-det --jobs 2 \
+  >"$out/genstats2.txt"
+cmp "$out/genstats1.txt" "$out/genstats2.txt"
+
+echo "== solver suite, 5 runs (memo contention and key release) =="
+# a scheduling-dependent counter or a waiter left on an unreleased memo
+# key shows up in some runs only
+for i in 1 2 3 4 5; do
+  dune exec test/test_main.exe -- test solver >/dev/null
+done
+
 echo "== smoke: uhc --trace/--metrics + dragon profile =="
 dune exec bin/uhc.exe -- --corpus matrix --jobs 2 \
   --trace "$out/trace.json" --metrics "$out/metrics.json" \

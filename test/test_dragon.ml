@@ -92,19 +92,7 @@ let test_callgraph_views () =
 
 let test_cfg_views () =
   let result = Engine.analyze_sources [ Corpus.Small.fig1_f ] in
-  let blocks =
-    List.concat_map
-      (fun (proc, cfg) ->
-        Array.to_list cfg.Cfg.blocks
-        |> List.map (fun (b : Cfg.block) ->
-               {
-                 Rgnfile.Files.cb_proc = proc;
-                 cb_id = b.Cfg.id;
-                 cb_label = b.Cfg.label;
-                 cb_succs = b.Cfg.succs;
-               }))
-      result.Ipa.Analyze.r_cfgs
-  in
+  let blocks = Ipa.Analyze.cfg_blocks result in
   let p =
     Dragon.Project.make ~name:"t" ~dgn:result.Ipa.Analyze.r_dgn
       ~rows:result.Ipa.Analyze.r_rows ~cfg:blocks ()

@@ -8,30 +8,16 @@ let corpus_files = function
   | "matrix" -> [ Corpus.Small.matrix_c ]
   | "fig1" -> [ Corpus.Small.fig1_f ]
   | "stride" -> [ Corpus.Small.stride_f ]
+  | "gen-small" -> Corpus.Gen.(generate default)
   | other -> Alcotest.failf "unknown corpus %s" other
 
 let lower files = Whirl.Lower.lower (Lang.Frontend.load ~files)
 
 (* the exact .rgn/.dgn/.cfg file contents uhc would write *)
 let render (r : Ipa.Analyze.result) =
-  let blocks =
-    List.concat_map
-      (fun (proc, cfg) ->
-        Array.to_list
-          (Array.map
-             (fun (b : Cfg.block) ->
-               {
-                 Rgnfile.Files.cb_proc = proc;
-                 cb_id = b.Cfg.id;
-                 cb_label = b.Cfg.label;
-                 cb_succs = b.Cfg.succs;
-               })
-             cfg.Cfg.blocks))
-      r.Ipa.Analyze.r_cfgs
-  in
   ( Rgnfile.Files.write_rgn r.Ipa.Analyze.r_rows,
     Rgnfile.Files.write_dgn r.Ipa.Analyze.r_dgn,
-    Rgnfile.Files.write_cfg blocks )
+    Rgnfile.Files.write_cfg (Ipa.Analyze.cfg_blocks r) )
 
 let check_same_output name (rgn_a, dgn_a, cfg_a) (rgn_b, dgn_b, cfg_b) =
   Alcotest.(check bool) (name ^ " .rgn byte-identical") true (rgn_a = rgn_b);

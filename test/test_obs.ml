@@ -6,35 +6,9 @@
    it on changes no output byte and the deterministic statistics rendering
    is byte-identical at any --jobs setting. *)
 
-let corpus_files = function
-  | "lu" -> Corpus.Nas_lu.files ()
-  | "matrix" -> [ Corpus.Small.matrix_c ]
-  | "fig1" -> [ Corpus.Small.fig1_f ]
-  | "stride" -> [ Corpus.Small.stride_f ]
-  | "gen-small" -> Corpus.Gen.(generate default)
-  | other -> Alcotest.failf "unknown corpus %s" other
-
-let lower files = Whirl.Lower.lower (Lang.Frontend.load ~files)
-
-let render (r : Ipa.Analyze.result) =
-  let blocks =
-    List.concat_map
-      (fun (proc, cfg) ->
-        Array.to_list
-          (Array.map
-             (fun (b : Cfg.block) ->
-               {
-                 Rgnfile.Files.cb_proc = proc;
-                 cb_id = b.Cfg.id;
-                 cb_label = b.Cfg.label;
-                 cb_succs = b.Cfg.succs;
-               })
-             cfg.Cfg.blocks))
-      r.Ipa.Analyze.r_cfgs
-  in
-  ( Rgnfile.Files.write_rgn r.Ipa.Analyze.r_rows,
-    Rgnfile.Files.write_dgn r.Ipa.Analyze.r_dgn,
-    Rgnfile.Files.write_cfg blocks )
+let corpus_files = Test_engine.corpus_files
+let lower = Test_engine.lower
+let render = Test_engine.render
 
 (* ------------------------------------------------------------------ *)
 (* Histogram percentiles vs an exact reference *)
@@ -349,10 +323,7 @@ let test_outputs_unchanged () =
       in
       Obs.Metrics.set_enabled false;
       Obs.Trace.clear ();
-      let (rgn_a, dgn_a, cfg_a) = plain and (rgn_b, dgn_b, cfg_b) = traced in
-      Alcotest.(check bool) (corpus ^ " .rgn byte-identical") true (rgn_a = rgn_b);
-      Alcotest.(check bool) (corpus ^ " .dgn byte-identical") true (dgn_a = dgn_b);
-      Alcotest.(check bool) (corpus ^ " .cfg byte-identical") true (cfg_a = cfg_b))
+      Test_engine.check_same_output corpus plain traced)
     [ "lu"; "matrix"; "fig1"; "stride" ]
 
 (* ------------------------------------------------------------------ *)
@@ -404,6 +375,38 @@ let test_worker_alloc_attributed () =
     true
     (parallel >= serial /. 2. && parallel <= serial *. 2.)
 
+(* ------------------------------------------------------------------ *)
+(* Pipeline.run hands the process-global observation switches back as it
+   found them, so a library caller's next run pays for no observation it
+   did not ask for *)
+
+let test_pipeline_restores_switches () =
+  let dir = Filename.temp_file "obs_switches" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let in_dir = Filename.concat dir in
+  let switches () = (Obs.Metrics.enabled (), Obs.Span.enabled ()) in
+  Fun.protect ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Span.set_enabled false;
+      Obs.Trace.clear ())
+  @@ fun () ->
+  List.iter
+    (fun (name, tracing, cfg) ->
+      Obs.Span.set_enabled tracing;
+      let before = switches () in
+      ignore (Pipeline.run cfg);
+      Alcotest.(check (pair bool bool))
+        (name ^ ": metrics and tracing as before the run")
+        before (switches ()))
+    [
+      ( "metrics",
+        false,
+        Pipeline.make ~corpus:"matrix" ~metrics:(in_dir "m.json") () );
+      ("ledger", false, Pipeline.make ~corpus:"matrix" ~cache_dir:dir ());
+      ("trace", true, Pipeline.make ~corpus:"matrix" ~trace:(in_dir "t.json") ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "hist percentiles vs reference" `Quick
@@ -424,4 +427,6 @@ let suite =
       test_stats_deterministic;
     Alcotest.test_case "worker allocation attributed" `Slow
       test_worker_alloc_attributed;
+    Alcotest.test_case "pipeline restores observation switches" `Quick
+      test_pipeline_restores_switches;
   ]

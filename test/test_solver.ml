@@ -115,39 +115,10 @@ let prop_bounds_sample_agree =
 
 (* ---------- end-to-end: corpora under reference mode ---------- *)
 
-let corpus_files = function
-  | "lu" -> Corpus.Nas_lu.files ()
-  | "matrix" -> [ Corpus.Small.matrix_c ]
-  | "fig1" -> [ Corpus.Small.fig1_f ]
-  | "stride" -> [ Corpus.Small.stride_f ]
-  | other -> Alcotest.failf "unknown corpus %s" other
-
-let lower files = Whirl.Lower.lower (Lang.Frontend.load ~files)
-
-let render (r : Ipa.Analyze.result) =
-  let blocks =
-    List.concat_map
-      (fun (proc, cfg) ->
-        Array.to_list
-          (Array.map
-             (fun (b : Cfg.block) ->
-               {
-                 Rgnfile.Files.cb_proc = proc;
-                 cb_id = b.Cfg.id;
-                 cb_label = b.Cfg.label;
-                 cb_succs = b.Cfg.succs;
-               })
-             cfg.Cfg.blocks))
-      r.Ipa.Analyze.r_cfgs
-  in
-  ( Rgnfile.Files.write_rgn r.Ipa.Analyze.r_rows,
-    Rgnfile.Files.write_dgn r.Ipa.Analyze.r_dgn,
-    Rgnfile.Files.write_cfg blocks )
-
-let check_same_output name (rgn_a, dgn_a, cfg_a) (rgn_b, dgn_b, cfg_b) =
-  Alcotest.(check bool) (name ^ " .rgn byte-identical") true (rgn_a = rgn_b);
-  Alcotest.(check bool) (name ^ " .dgn byte-identical") true (dgn_a = dgn_b);
-  Alcotest.(check bool) (name ^ " .cfg byte-identical") true (cfg_a = cfg_b)
+let corpus_files = Test_engine.corpus_files
+let lower = Test_engine.lower
+let render = Test_engine.render
+let check_same_output = Test_engine.check_same_output
 
 let test_corpora_identical () =
   List.iter
@@ -330,7 +301,92 @@ let test_shared_memo_contention () =
       implies_memo_hits = 0 }
   in
   Alcotest.(check string) "implies counters as in a serial run"
-    (det (per_key serial)) (det (per_key d))
+    (det (per_key serial)) (det (per_key d));
+  (* bounds and projections: every variable of every system, once per
+     domain; a hit is every call but the first for its key *)
+  let var_queries =
+    Array.of_list
+      (List.concat_map
+         (fun s ->
+           List.map (fun v -> (v, s)) (Var.Set.elements (System.vars s)))
+         (Array.to_list systems))
+  in
+  let calls = 4 * Array.length var_queries in
+  let keys = distinct (fun (v, s) -> (Var.id v, System.id s)) var_queries in
+  let bounds_expected =
+    Array.map (fun (v, s) -> System.Reference.bounds v s) var_queries
+  in
+  let bounds i =
+    let v, s = var_queries.(i) in
+    System.bounds v s
+  in
+  let ok, d = contend ~domains:4 bounds bounds_expected in
+  Alcotest.(check bool) "bounds answers = reference" true ok;
+  Alcotest.(check int) "bounds hits = calls - distinct keys" (calls - keys)
+    d.Solver_stats.ctx_bound_hits;
+  (* projecting one variable away is eliminating it *)
+  let proj_expected =
+    Array.map (fun (v, s) -> System.id (System.eliminate v s)) var_queries
+  in
+  let proj i =
+    let v, s = var_queries.(i) in
+    System.id (System.project_onto (Var.Set.remove v (System.vars s)) s)
+  in
+  let ok, d = contend ~domains:4 proj proj_expected in
+  Alcotest.(check bool) "project_onto answers = reference" true ok;
+  Alcotest.(check int) "proj hits = calls - distinct keys" (calls - keys)
+    d.Solver_stats.ctx_proj_hits
+
+(* A computation that raises leaves no key behind: [bounds] on this
+   system overflows exact rational arithmetic every time, and a second
+   domain asking after the first one raised must raise too, not wait for
+   an answer that will never come. *)
+let test_raising_key_released () =
+  System.clear_cache ();
+  let m = r (max_int / 3) in
+  let le terms k =
+    Constr.make
+      (List.fold_left
+         (fun e (c, v) -> Expr.add e (Expr.monom c v))
+         (e_of_int k) terms)
+      Constr.Le
+  in
+  let s =
+    System.of_list
+      [
+        le [ (m, x); (m, y) ] 0;
+        le [ (r 7, y); (Rat.neg m, x) ] 1;
+        le [ (r 5, x); (Rat.neg m, y) ] 0;
+      ]
+  in
+  let raises_in_a_domain () =
+    let result = Atomic.make None in
+    let d =
+      Domain.spawn (fun () ->
+          Atomic.set result
+            (Some
+               (match System.bounds x s with
+               | _ -> false
+               | exception Rat.Overflow -> true)))
+    in
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec await () =
+      match Atomic.get result with
+      | Some raised ->
+        Domain.join d;
+        raised
+      | None when Unix.gettimeofday () > deadline ->
+        Alcotest.fail "System.bounds is still waiting on a released key"
+      | None ->
+        Unix.sleepf 0.001;
+        await ()
+    in
+    await ()
+  in
+  Alcotest.(check bool) "first domain: Rat.Overflow" true
+    (raises_in_a_domain ());
+  Alcotest.(check bool) "second domain: Rat.Overflow, not blocked" true
+    (raises_in_a_domain ())
 
 let test_stats_move () =
   Solver_stats.reset ();
@@ -343,9 +399,8 @@ let test_stats_move () =
   Alcotest.(check int) "one miss" 1 d.Solver_stats.cache_misses;
   Alcotest.(check int) "one hit" 1 d.Solver_stats.cache_hits
 
-(* a degraded query counts its system but leaves no answer behind: the
-   next exact query takes the key over and settles it, so the one after
-   is answered from the memo *)
+(* a degraded query bypasses the memo: the next exact query computes and
+   settles the key, so the one after is answered from the memo *)
 let test_degraded_then_exact () =
   Solver_stats.reset ();
   System.clear_cache ();
@@ -367,9 +422,9 @@ let test_degraded_then_exact () =
   Alcotest.(check bool) "exact from the memo" exact (System.feasible s);
   Alcotest.(check int) "answered as a memo hit" (h0 + 1) (Obs.Hist.count hits);
   let d = Solver_stats.snapshot () in
-  Alcotest.(check int) "no miss: the degraded query counted the key" 0
+  Alcotest.(check int) "one miss: the first exact query computes" 1
     d.Solver_stats.cache_misses;
-  Alcotest.(check int) "two hits" 2 d.Solver_stats.cache_hits
+  Alcotest.(check int) "one hit" 1 d.Solver_stats.cache_hits
 
 let suite =
   [
@@ -391,4 +446,6 @@ let suite =
       test_shared_memo_contention;
     Alcotest.test_case "degraded query leaves the memo usable" `Quick
       test_degraded_then_exact;
+    Alcotest.test_case "a raising computation releases its key" `Quick
+      test_raising_key_released;
   ]
