@@ -690,7 +690,7 @@ let bench_misscurve () =
      double grids ~ 18 KB) begins to fit"
 
 (* ------------------------------------------------------------------ *)
-(* Engine: parallel fan-out and the incremental summary cache *)
+(* Engine: parallel fan-out and the incremental collect cache *)
 
 let bench_engine () =
   header "Engine: parallel + incremental analysis (NAS LU)";
@@ -736,25 +736,11 @@ let bench_engine () =
   Printf.printf "disk cache: cold %.4fs, warm %.4fs (%.1fx)\n" cold warm
     (cold /. warm);
   print_endline
-    "warm runs skip collection and summary propagation entirely;\n\
+    "warm runs skip collection and recompute only summary propagation;\n\
      outputs are byte-identical in every mode (checked by test_engine)"
 
 (* ------------------------------------------------------------------ *)
 (* Solver: before/after micro-benchmarks and end-to-end feasible time *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let bench_solver ~json ~out () =
   header "Solver: packed integer FM, memoized queries (NAS LU)";
@@ -886,7 +872,7 @@ let bench_solver ~json ~out () =
     let b = Buffer.create 2048 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (json_escape "solver");
+    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "solver");
     bpf "  \"corpus\": \"nas-lu\",\n";
     bpf "  \"solver\": {\n";
     bpf "    \"end_to_end\": {\n";
@@ -993,7 +979,7 @@ let bench_bounds ~json ~out () =
     let b = Buffer.create 2048 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (json_escape "bounds");
+    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "bounds");
     bpf "  \"schema_version\": %d,\n" Analyses.Report.schema_version;
     bpf "  \"bounds\": {\n";
     bpf "    \"corpora\": [\n";
@@ -1001,7 +987,7 @@ let bench_bounds ~json ~out () =
     List.iteri
       (fun i (name, count, wall, (d : Linear.Solver_stats.t)) ->
         bpf "      {\n";
-        bpf "        \"corpus\": \"%s\",\n" (json_escape name);
+        bpf "        \"corpus\": \"%s\",\n" (Obs.Json.escape name);
         bpf "        \"accesses\": %d,\n" (count "accesses");
         bpf "        \"safe\": %d,\n" (count "safe");
         bpf "        \"unsafe\": %d,\n" (count "unsafe");
@@ -1083,15 +1069,15 @@ let bench_gen ~json ~out () =
     let b = Buffer.create 2048 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (json_escape "gen");
+    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "gen");
     bpf "  \"schema_version\": %d,\n" Analyses.Report.schema_version;
     bpf "  \"gen\": {\n";
-    bpf "    \"config\": \"%s\",\n" (json_escape (Corpus.Gen.describe cfg));
+    bpf "    \"config\": \"%s\",\n" (Obs.Json.escape (Corpus.Gen.describe cfg));
     bpf "    \"seed\": %d,\n" cfg.Corpus.Gen.g_seed;
     bpf "    \"files\": %d,\n" (List.length files);
     bpf "    \"pus\": %d,\n" (Corpus.Gen.pu_count cfg);
     bpf "    \"bytes\": %d,\n" bytes;
-    bpf "    \"digest\": \"%s\",\n" (json_escape digest);
+    bpf "    \"digest\": \"%s\",\n" (Obs.Json.escape digest);
     bpf "    \"gen_wall_s\": %.6f,\n" gen_wall;
     bpf "    \"analysis_wall_s\": %.6f,\n" analysis_wall;
     bpf "    \"sparse_accesses\": %s,\n" (count bounds "sparse_accesses");
@@ -1254,7 +1240,7 @@ let bench_regions ~json ~out () =
     let b = Buffer.create 2048 in
     let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     bpf "{\n";
-    bpf "  \"bench\": \"%s\",\n" (json_escape "regions");
+    bpf "  \"bench\": \"%s\",\n" (Obs.Json.escape "regions");
     bpf "  \"corpus\": \"nas-lu\",\n";
     bpf "  \"regions\": {\n";
     bpf "    \"join\": {\n";
@@ -1682,7 +1668,7 @@ let check_ledger_record idx record =
         match Option.bind (Obs.Json.member f cache) Obs.Json.to_int with
         | Some n when n >= 0 -> ()
         | _ -> check_fail "%s cache section lacks counter %S" ctx f)
-      [ "collect_hits"; "collect_misses"; "summary_hits"; "summary_misses" ];
+      [ "collect_hits"; "collect_misses" ];
     match mem "solver" with
     | Some (Obs.Json.Obj kvs) ->
       List.iter
@@ -1701,7 +1687,7 @@ let check_ledger_record idx record =
     (fun p ->
       List.iter
         (fun f -> ignore (Option.bind (Obs.Json.member f p) Obs.Json.to_string))
-        [ "name"; "file"; "key1"; "key2" ];
+        [ "name"; "file"; "key1" ];
       match Option.bind (Obs.Json.member "name" p) Obs.Json.to_string with
       | Some _ -> ()
       | None -> check_fail "%s pu entry without name" ctx)

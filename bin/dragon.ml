@@ -285,7 +285,7 @@ let history_cmd =
       value & pos_all string []
       & info [] ~docv:"METRIC"
           ~doc:"Dotted paths into the records, e.g. wall_s, \
-                cache.summary_misses, solver.queries, \
+                cache.collect_misses, solver.queries, \
                 verdicts.bounds.unsafe; default wall_s.")
   in
   let last =

@@ -120,8 +120,9 @@ let cache_dir =
     value
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Persist per-procedure analysis results here, keyed by content \
-              digests; repeated invocations only re-analyze what changed.")
+        ~doc:"Persist per-procedure collection results here, keyed by \
+              content digests; repeated invocations only re-collect what \
+              changed.")
 
 let stats =
   Arg.(

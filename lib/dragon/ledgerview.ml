@@ -4,7 +4,7 @@
    incrementality explanations (dragon explain).
 
    Records are plain Obs.Json values; a "metric" is a dotted path into
-   one record — "wall_s", "cache.summary_misses", "solver.fm_runs",
+   one record — "wall_s", "cache.collect_misses", "solver.fm_runs",
    "verdicts.bounds.maybe" — resolved member by member, with numeric
    strings accepted so verdict tallies written as strings still trend. *)
 
@@ -136,15 +136,15 @@ type verdict = {
 (* Only deterministic counters by default: verdict tallies, diagnostics
    and the cache miss count are byte-stable across reruns of the same
    inputs at any --jobs setting, so a no-change rerun always passes.
-   cache.summary_misses in particular enforces that a warm rerun of an
-   unchanged corpus recomputes nothing.  Wall-clock counters regress only
+   cache.collect_misses in particular enforces that a warm rerun of an
+   unchanged corpus re-collects nothing.  Wall-clock counters regress only
    when asked to via --threshold. *)
 let default_rules =
   [
     { r_path = "verdicts.bounds.unsafe"; r_pct = 0. };
     { r_path = "verdicts.bounds.maybe"; r_pct = 0. };
     { r_path = "diagnostics"; r_pct = 0. };
-    { r_path = "cache.summary_misses"; r_pct = 0. };
+    { r_path = "cache.collect_misses"; r_pct = 0. };
   ]
 
 let parse_rule s =
@@ -245,9 +245,7 @@ type pu = {
   pu_name : string;
   pu_file : string;
   pu_key1 : string;
-  pu_key2 : string;
   pu_collect_hit : bool;
-  pu_summary_hit : bool;
   pu_callees : string list;
 }
 
@@ -263,16 +261,14 @@ let pus_of run =
           | Some (Obs.Json.Bool b) -> b
           | _ -> false
         in
-        match (str "name", str "file", str "key1", str "key2") with
-        | Some pu_name, Some pu_file, Some pu_key1, Some pu_key2 ->
+        match (str "name", str "file", str "key1") with
+        | Some pu_name, Some pu_file, Some pu_key1 ->
           Some
             {
               pu_name;
               pu_file;
               pu_key1;
-              pu_key2;
               pu_collect_hit = flag "collect_hit";
-              pu_summary_hit = flag "summary_hit";
               pu_callees =
                 (match
                    Option.bind (Obs.Json.member "callees" e) Obs.Json.to_list
@@ -286,7 +282,7 @@ let pus_of run =
 let short_key k = if String.length k > 12 then String.sub k 0 12 else k
 
 (* Transitive callers of [name] over the recorded callee edges — the
-   blast radius: everything that re-summarizes if [name] changes. *)
+   blast radius: every summary that can change if [name] changes. *)
 let callers_closure pus name =
   let callers = Hashtbl.create 16 in
   List.iter
@@ -310,16 +306,12 @@ let callers_closure pus name =
   in
   List.sort_uniq compare (go [] [ name ])
 
-(* Why did [cur]'s summary miss, given the previous run's entries?  The
-   Merkle keys localize the cause: key1 changed — the PU's own body (or
-   the global symtab); key1 unchanged but key2 changed — some transitive
-   callee, and diffing the callees' keys names the culprit(s). *)
+(* Why did [cur]'s collection miss, given the previous run's entries?
+   Its key1 changed — the PU's own body (or the global symtab). *)
 let explain_pu buf ~prev_pus ~cur_pus (cur : pu) =
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   bpf "%s (%s)\n" cur.pu_name cur.pu_file;
-  bpf "  last run: collect %s, summary %s\n"
-    (if cur.pu_collect_hit then "HIT" else "MISS")
-    (if cur.pu_summary_hit then "HIT" else "MISS");
+  bpf "  last run: collect %s\n" (if cur.pu_collect_hit then "HIT" else "MISS");
   (match List.find_opt (fun p -> p.pu_name = cur.pu_name) prev_pus with
   | None ->
     if prev_pus = [] then
@@ -331,39 +323,11 @@ let explain_pu buf ~prev_pus ~cur_pus (cur : pu) =
         "  cause: its own content changed — key1 %s.. -> %s.. (body or \
          global symbol table edit)\n"
         (short_key prev.pu_key1) (short_key cur.pu_key1)
-    else if cur.pu_key2 <> prev.pu_key2 then begin
-      bpf
-        "  cause: body unchanged (key1 stable) but a callee changed — \
-         key2 %s.. -> %s..\n"
-        (short_key prev.pu_key2) (short_key cur.pu_key2);
-      let changed =
-        List.filter_map
-          (fun c ->
-            match
-              ( List.find_opt (fun p -> p.pu_name = c) prev_pus,
-                List.find_opt (fun p -> p.pu_name = c) cur_pus )
-            with
-            | Some p, Some q when p.pu_key2 <> q.pu_key2 -> Some (c, p, q)
-            | None, Some q -> Some (c, q, q)
-            | _ -> None)
-          cur.pu_callees
-      in
-      if changed = [] then
-        bpf "  (no direct callee key changed: an indirect callee did)\n"
-      else
-        List.iter
-          (fun (c, p, q) ->
-            if p == q then bpf "    changed callee: %s (new)\n" c
-            else
-              bpf "    changed callee: %s (key2 %s.. -> %s..)\n" c
-                (short_key p.pu_key2) (short_key q.pu_key2))
-          changed
-    end
-    else if cur.pu_summary_hit then
+    else if cur.pu_collect_hit then
       bpf "  unchanged since the previous run: served from cache\n"
     else
       bpf
-        "  keys unchanged yet re-analyzed: cache was cold or evicted (or \
+        "  key unchanged yet re-collected: cache was cold or evicted (or \
          a degraded earlier run was never persisted)\n");
   let radius =
     List.filter (fun n -> n <> cur.pu_name) (callers_closure cur_pus cur.pu_name)

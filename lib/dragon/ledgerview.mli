@@ -14,7 +14,7 @@ val load : cache_dir:string -> (run list, string) result
     with a human-readable message when there are none. *)
 
 val metric : Obs.Json.t -> string -> float option
-(** [metric record "cache.summary_misses"] resolves a dotted path into
+(** [metric record "cache.collect_misses"] resolves a dotted path into
     the record: numbers as-is, numeric strings parsed, booleans as 0/1,
     anything else (or a missing member) is [None]. *)
 
@@ -38,8 +38,8 @@ type rule = { r_path : string; r_pct : float }
     injecting a guaranteed failure). *)
 
 val default_rules : rule list
-(** Deterministic-only gates — bounds [unsafe]/[maybe] tallies and the
-    diagnostics count may not grow — so a no-change rerun always passes
+(** Deterministic-only gates — bounds [unsafe]/[maybe] tallies, the
+    diagnostics count and [cache.collect_misses] may not grow — so a no-change rerun always passes
     regardless of scheduling or wall-clock noise. *)
 
 val parse_rule : string -> (rule, string) result
@@ -59,22 +59,22 @@ type pu = {
   pu_name : string;
   pu_file : string;
   pu_key1 : string;
-  pu_key2 : string;
   pu_collect_hit : bool;
-  pu_summary_hit : bool;
   pu_callees : string list;
 }
 (** The per-PU ledger section ({!Engine.pu_entry} as recorded). *)
 
 val pus_of : run -> pu list
-(** The record's [pus] array; empty if absent or malformed. *)
+(** The record's [pus] array; empty if absent or malformed.  An entry
+    needs [name], [file] and [key1]; other members (such as the [key2]
+    and [summary_hit] that older records carry) are ignored. *)
 
 val explain : target:string -> run list -> (string, string) result
 (** Why was [target] (a PU name, recorded file path, or file basename)
-    re-analyzed in the newest run?  Compares its content keys against
+    re-collected in the newest run?  Compares its content key against
     the previous run: [key1] changed — its own body or the global symbol
-    table; only [key2] changed — a callee, and the changed direct
-    callee(s) are named (or flagged as indirect).  Also prints the blast
-    radius (transitive callers over the recorded call edges) and the
-    run-over-run verdict tally delta.  [Error] when the target matches
+    table; unchanged and hit — served from cache.  Also prints the blast
+    radius (transitive callers over the recorded call edges, whose
+    summaries can change with it) and the run-over-run verdict tally
+    delta.  [Error] when the target matches
     nothing, listing the recorded PU names. *)

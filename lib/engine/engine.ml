@@ -3,15 +3,14 @@
    One [run] performs the same pipeline as the serial
    [Ipa.Analyze.analyze] — layout, collection, bottom-up summary
    propagation, assembly — but fans the per-PU stages (collection, CFG
-   construction) across a domain pool and reuses cached results keyed by
-   content digests:
+   construction, the SCCs of one call-graph level) across a domain pool.
 
-   - [key1 pu] digests the global symbol table plus the PU's serialized
-     body: it addresses the *local* collection result;
-   - [key2 pu] is a Merkle digest folding [key1] of the PU together with
-     the [key2] of everything it (transitively) calls: it addresses the
-     *interprocedural* summary, so editing one PU invalidates exactly that
-     PU and its transitive callers.
+   Only collection, the expensive gather phase, is cached: [key1 pu]
+   digests the global symbol table plus the PU's serialized body and
+   addresses its local collection result, so editing one PU re-collects
+   exactly that PU.  Summaries are recomputed every run from cached or
+   fresh collection results; that costs less than storing and decoding
+   them.
 
    Determinism: symbolic-variable ids are pre-assigned by
    [Collect.intern_module_syms] before any fan-out, every task writes only
@@ -46,13 +45,16 @@ module Stats = struct
     s_solver : Linear.Solver_stats.t;
   }
 
+  let pp_cache ppf t =
+    Format.fprintf ppf "  cache: collect %d hit / %d miss@\n" t.s_collect_hits
+      t.s_collect_misses
+
   let pp ppf t =
     Format.fprintf ppf "engine: %d job%s, %d PU%s@\n" t.s_jobs
       (if t.s_jobs = 1 then "" else "s")
       t.s_pus
       (if t.s_pus = 1 then "" else "s");
-    Format.fprintf ppf "  cache: collect %d hit / %d miss, summary %d hit / %d miss@\n"
-      t.s_collect_hits t.s_collect_misses t.s_summary_hits t.s_summary_misses;
+    pp_cache ppf t;
     List.iter
       (fun p ->
         Format.fprintf ppf "  %-10s %8.3fs %10.1f kB@\n" p.ph_name p.ph_wall
@@ -66,8 +68,7 @@ module Stats = struct
        every number printed here is reproducible at any --jobs setting *)
     Format.fprintf ppf "engine: %d PU%s@\n" t.s_pus
       (if t.s_pus = 1 then "" else "s");
-    Format.fprintf ppf "  cache: collect %d hit / %d miss, summary %d hit / %d miss@\n"
-      t.s_collect_hits t.s_collect_misses t.s_summary_hits t.s_summary_misses;
+    pp_cache ppf t;
     Format.fprintf ppf "  phases:";
     List.iter (fun p -> Format.fprintf ppf " %s" p.ph_name) t.s_phases;
     Format.fprintf ppf "@\n";
@@ -75,17 +76,15 @@ module Stats = struct
 end
 
 (* What the incrementality machinery knew about one PU this run — the raw
-   material for the run ledger and [dragon explain]: the content keys say
+   material for the run ledger and [dragon explain]: the content key says
    *why* a cache missed (key1 changed = the PU's own body or the global
-   symtab; key1 same but key2 changed = some transitive callee), the
-   callee list lets a reader walk blast radii without reloading sources. *)
+   symtab), the callee list lets a reader walk blast radii without
+   reloading sources. *)
 type pu_entry = {
   p_name : string;
   p_file : string;
   p_key1 : string;  (* hex digest of global symtab + PU body *)
-  p_key2 : string;  (* hex Merkle digest folding in transitive callees *)
   p_collect_hit : bool;
-  p_summary_hit : bool;
   p_callees : string list;
 }
 
@@ -135,8 +134,6 @@ let isolation_diag ~stage ~pu ~action e =
 let c_runs = Obs.Metrics.counter "engine.runs"
 let c_collect_hits = Obs.Metrics.counter "engine.collect.hits"
 let c_collect_misses = Obs.Metrics.counter "engine.collect.misses"
-let c_summary_hits = Obs.Metrics.counter "engine.summary.hits"
-let c_summary_misses = Obs.Metrics.counter "engine.summary.misses"
 
 let phase_hist =
   let tbl = Hashtbl.create 8 in
@@ -273,69 +270,16 @@ let run (cfg : config) (m : Ir.module_) : result =
                   }
               | None -> ())
           collect_hit);
-  (* ---- summaries: Merkle keys, cache, then level-parallel SCCs ------ *)
+  (* ---- summaries: always recomputed, level-parallel over SCCs ------- *)
   let summaries : Ipa.Summary.t option array = Array.make n None in
   let propagated : Ipa.Collect.access list array = Array.make n [] in
-  let summary_hit = Array.make n false in
-  let computed = Array.make n false in
-  let key2 : Digest.t option array = Array.make n None in
   timed "summarize" (fun () ->
-      let scc_arr = Array.of_list (Ipa.Callgraph.sccs cg) in
-      (* Merkle digests, bottom-up: [sccs] lists callee SCCs first.  The
-         members of one SCC share their input digest (they are mutually
-         recursive: any change to one member's inputs re-summarizes the
-         whole cycle), differing only by a name suffix. *)
-      Array.iter
-        (fun scc ->
-          let buf = Buffer.create 256 in
-          List.iter
-            (fun name ->
-              (match idx name with
-              | None -> Buffer.add_string buf "@undef-member"
-              | Some i -> Buffer.add_string buf key1.(i));
-              List.iter
-                (fun c ->
-                  Buffer.add_string buf c;
-                  match idx c with
-                  | None -> Buffer.add_string buf "@undef"
-                  | Some j ->
-                    if List.mem c scc then Buffer.add_string buf "@rec"
-                    else
-                      Buffer.add_string buf
-                        (match key2.(j) with
-                        | Some k -> k
-                        | None -> "@pending"))
-                (Ipa.Callgraph.callees cg name))
-            scc;
-          let inputs = Buffer.contents buf in
-          List.iter
-            (fun name ->
-              match idx name with
-              | None -> ()
-              | Some i -> key2.(i) <- Some (Digest.string (inputs ^ name)))
-            scc)
-        scc_arr;
-      (* cache lookups, one task per PU *)
-      (match cfg.store with
-      | None -> ()
-      | Some store ->
-        let task i () =
-          match key2.(i) with
-          | None -> ()
-          | Some key -> (
-            match Engine_store.find_summary store ~m ~key with
-            | Some p ->
-              summary_hit.(i) <- true;
-              summaries.(i) <- Some p.Engine_store.sp_summary;
-              propagated.(i) <- p.Engine_store.sp_propagated
-            | None -> ())
-        in
-        Engine_pool.run ~jobs (Array.init n task));
       (* level-parallel propagation over the SCC DAG: an SCC's level is one
          more than its deepest callee SCC, so everything a level-[l] SCC
          looks up was finished at level [< l].  Members of one SCC run
          sequentially in call-graph order; a not-yet-summarized member of
          the same cycle reads as [None] — the serial path's schedule. *)
+      let scc_arr = Array.of_list (Ipa.Callgraph.sccs cg) in
       let level = Ipa.Callgraph.scc_levels cg in
       let lookup name =
         match idx name with Some j -> summaries.(j) | None -> None
@@ -349,71 +293,47 @@ let run (cfg : config) (m : Ir.module_) : result =
           (fun name ->
             match idx name with
             | None -> ()
-            | Some i ->
-              if not summary_hit.(i) then (
-                match infos.(i) with
-                | None -> ()
-                | Some info ->
-                  let pu = pus.(i) in
-                  if poisoned.(i) then begin
-                    (* collection already degraded: the only sound summary
-                       is the worst-case one (whole-extent USE+DEF of every
-                       global and formal array) *)
+            | Some i -> (
+              match infos.(i) with
+              | None -> ()
+              | Some info ->
+                let pu = pus.(i) in
+                if poisoned.(i) then
+                  (* collection already degraded: the only sound summary
+                     is the worst-case one (whole-extent USE+DEF of every
+                     global and formal array) *)
+                  summaries.(i) <- Some (Ipa.Summary.opaque m pu)
+                else
+                  try
+                    Fault.inject Fault.Pool ~key:("summarize:" ^ name);
+                    let exported, extra =
+                      Obs.Span.with_ ~cat:"pu" ~name:("summarize:" ^ name)
+                        (fun () -> Ipa.Analyze.summarize_pu m ~lookup info)
+                    in
+                    summaries.(i) <- Some exported;
+                    propagated.(i) <- extra
+                  with e when cfg.keep_going ->
+                    poisoned.(i) <- true;
                     summaries.(i) <- Some (Ipa.Summary.opaque m pu);
-                    propagated.(i) <- []
-                  end
-                  else
-                    try
-                      Fault.inject Fault.Pool ~key:("summarize:" ^ name);
-                      let exported, extra =
-                        Obs.Span.with_ ~cat:"pu" ~name:("summarize:" ^ name)
-                          (fun () -> Ipa.Analyze.summarize_pu m ~lookup info)
-                      in
-                      summaries.(i) <- Some exported;
-                      propagated.(i) <- extra;
-                      computed.(i) <- true
-                    with e when cfg.keep_going ->
-                      poisoned.(i) <- true;
-                      summaries.(i) <- Some (Ipa.Summary.opaque m pu);
-                      propagated.(i) <- [];
-                      pu_diags.(i) <-
-                        isolation_diag ~stage:"summarize" ~pu:name
-                          ~action:"opaque-summary" e
-                        :: pu_diags.(i)))
+                    propagated.(i) <- [];
+                    pu_diags.(i) <-
+                      isolation_diag ~stage:"summarize" ~pu:name
+                        ~action:"opaque-summary" e
+                      :: pu_diags.(i)))
           scc
       in
-      let needs_work scc =
-        List.exists
-          (fun p ->
-            match idx p with Some i -> not summary_hit.(i) | None -> false)
-          scc
-      in
+      (* SCCs of names no PU defines (external callees) have nothing to do *)
+      let defined scc = List.exists (fun p -> idx p <> None) scc in
       let max_level = Array.fold_left max 0 level in
       for lv = 0 to max_level do
         let work = ref [] in
         Array.iteri
           (fun si scc ->
-            if level.(si) = lv && needs_work scc then work := scc :: !work)
+            if level.(si) = lv && defined scc then work := scc :: !work)
           scc_arr;
         Engine_pool.run ~jobs
           (Array.of_list (List.rev_map (fun scc -> process_scc scc) !work))
-      done;
-      (* persist what this run computed *)
-      match cfg.store with
-      | None -> ()
-      | Some store ->
-        Array.iteri
-          (fun i c ->
-            if c then
-              match (key2.(i), summaries.(i)) with
-              | Some key, Some s ->
-                Engine_store.add_summary store ~key
-                  {
-                    Engine_store.sp_summary = s;
-                    sp_propagated = propagated.(i);
-                  }
-              | _ -> ())
-          computed);
+      done);
   (* ---- assembly ----------------------------------------------------- *)
   let res =
     timed "assemble" (fun () ->
@@ -455,20 +375,17 @@ let run (cfg : config) (m : Ir.module_) : result =
     per_pu @ store_diags
   in
   let collect_hits = count_true collect_hit in
-  let summary_hits = count_true summary_hit in
   Obs.Metrics.Counter.incr c_runs;
   Obs.Metrics.Counter.add c_collect_hits collect_hits;
   Obs.Metrics.Counter.add c_collect_misses (n - collect_hits);
-  Obs.Metrics.Counter.add c_summary_hits summary_hits;
-  Obs.Metrics.Counter.add c_summary_misses (n - summary_hits);
   let stats =
     {
       Stats.s_jobs = jobs;
       s_pus = n;
       s_collect_hits = collect_hits;
       s_collect_misses = n - collect_hits;
-      s_summary_hits = summary_hits;
-      s_summary_misses = n - summary_hits;
+      s_summary_hits = 0;
+      s_summary_misses = n;
       s_phases = List.rev !phases;
       s_total_wall = float_of_int (Obs.Trace.now_ns () - t_start) /. 1e9;
       s_solver =
@@ -483,10 +400,7 @@ let run (cfg : config) (m : Ir.module_) : result =
              p_name = pu.Ir.pu_name;
              p_file = pu.Ir.pu_file;
              p_key1 = Digest.to_hex key1.(i);
-             p_key2 =
-               (match key2.(i) with Some k -> Digest.to_hex k | None -> "");
              p_collect_hit = collect_hit.(i);
-             p_summary_hit = summary_hit.(i);
              p_callees = Ipa.Callgraph.callees cg pu.Ir.pu_name;
            })
          pus)

@@ -1,15 +1,14 @@
 (** The parallel, incremental analysis engine.
 
-    [run] produces the same {!Ipa.Analyze.result} as the (deprecated)
-    serial [Ipa.Analyze.analyze] — byte-identical [.rgn]/[.dgn]/[.cfg]
-    contents — while fanning per-PU collection and CFG construction across
-    an OCaml domain pool and reusing content-addressed cached results:
+    [run] produces the same {!Ipa.Analyze.result} as the removed serial
+    [Ipa.Analyze.analyze] — byte-identical [.rgn]/[.dgn]/[.cfg] contents —
+    while fanning per-PU collection and CFG construction, and the SCCs of
+    each call-graph level, across an OCaml domain pool.
 
-    - collection results are keyed by a digest of the global symbol table
-      plus the PU's serialized WHIRL body;
-    - summaries are keyed by a Merkle digest that also folds in every
-      (transitive) callee's key, so editing one PU re-summarizes exactly
-      that PU and its transitive callers.
+    Collection results, the expensive gather phase, are cached under a
+    digest of the global symbol table plus the PU's serialized WHIRL body,
+    so editing one PU re-collects exactly that PU.  Summaries are always
+    recomputed, bottom-up, from cached or fresh collection results.
 
     With an on-disk store ({!Engine_store.create} [~dir]), the cache
     survives across tool invocations. *)
@@ -55,8 +54,8 @@ module Stats : sig
     s_pus : int;
     s_collect_hits : int;
     s_collect_misses : int;
-    s_summary_hits : int;
-    s_summary_misses : int;
+    s_summary_hits : int;  (** always [0]: summaries are never cached *)
+    s_summary_misses : int;  (** always [s_pus] *)
     s_phases : phase list;  (** in execution order *)
     s_total_wall : float;
     s_solver : Linear.Solver_stats.t;
@@ -76,17 +75,14 @@ end
 (** What the incrementality machinery knew about one PU this run — the
     per-PU section of the run ledger and the input to [dragon explain].
     [p_key1] addresses the local collection result (global symtab + PU
-    body), [p_key2] the interprocedural summary (a Merkle digest folding
-    [p_key1] with every transitive callee's key), so comparing two runs'
-    entries tells you *why* a PU was re-analyzed: [p_key1] changed — its
-    own body or the symbol table; only [p_key2] changed — some callee. *)
+    body), so comparing two runs' entries tells you *why* a PU was
+    re-collected: its [p_key1] changed — its own body or the symbol
+    table. *)
 type pu_entry = {
   p_name : string;
   p_file : string;
   p_key1 : string;  (** hex digest of global symtab + PU body *)
-  p_key2 : string;  (** hex Merkle summary digest ([""] if never keyed) *)
   p_collect_hit : bool;
-  p_summary_hit : bool;
   p_callees : string list;  (** direct callees, call-graph order *)
 }
 

@@ -2,7 +2,7 @@
 
    Keys are MD5 digests computed by the engine from serialized WHIRL (see
    Engine): identical content — identical key, whatever process computed it.
-   Values are Marshal images of collection results / summaries, plus enough
+   Values are Marshal images of per-PU collection results, plus enough
    metadata to re-intern their symbolic variables against the *current*
    process's registry:
 
@@ -29,16 +29,11 @@ type collect_payload = {
   cp_sites : Ipa.Collect.site list;
 }
 
-type summary_payload = {
-  sp_summary : Ipa.Summary.t;
-  sp_propagated : Ipa.Collect.access list;
-}
-
-type 'a entry = {
+type entry = {
   en_counter : int;
   en_syms : (int * string * int * string) list;
       (* saved var id, owning procedure ("" = global), st code, name *)
-  en_value : 'a;
+  en_value : collect_payload;
 }
 
 type t = {
@@ -62,15 +57,17 @@ let create ?dir () =
 
 let in_memory () = create ()
 
-let path_of t ns key =
+(* every entry is a collect result: [c-<digest>.bin] on disk, [c<digest>]
+   in memory and as the fault-injection key *)
+let path_of t key =
   Option.map
     (fun d ->
       Filename.concat
         (Filename.concat d (Lazy.force schema_token))
-        (Printf.sprintf "%s-%s.bin" ns (Digest.to_hex key)))
+        (Printf.sprintf "c-%s.bin" (Digest.to_hex key)))
     t.dir
 
-let full_key ns key = ns ^ Digest.to_hex key
+let full_key key = "c" ^ Digest.to_hex key
 
 (* ------------------------------------------------------------------ *)
 (* Variable bookkeeping *)
@@ -113,11 +110,6 @@ let add_site (s : Ipa.Collect.site) acc =
       acc s.Ipa.Collect.s_args
   in
   List.fold_left (fun a l -> add_loop l a) acc s.Ipa.Collect.s_loops
-
-let add_summary_vars (s : Ipa.Summary.t) acc =
-  List.fold_left
-    (fun a (e : Ipa.Summary.entry) -> add_region e.Ipa.Summary.e_region a)
-    acc s
 
 let syms_of vars =
   Linear.Var.Set.fold
@@ -180,12 +172,6 @@ let map_site f (s : Ipa.Collect.site) =
         s.Ipa.Collect.s_args;
     s_loops = List.map (map_loop f) s.Ipa.Collect.s_loops;
   }
-
-let map_summary f (s : Ipa.Summary.t) : Ipa.Summary.t =
-  List.map
-    (fun (e : Ipa.Summary.entry) ->
-      { e with Ipa.Summary.e_region = Region.map_vars f e.Ipa.Summary.e_region })
-    s
 
 (* ------------------------------------------------------------------ *)
 (* Raw byte-level store *)
@@ -371,15 +357,15 @@ let observed h f =
 (* [find_raw] returns verified Marshal payloads: the in-memory tier holds
    payloads that already passed the digest check, and a disk read whose
    seal does not verify quarantines the file and reads as a miss. *)
-let find_raw t ns key =
+let find_raw t key =
   observed h_find @@ fun () ->
-  let k = full_key ns key in
+  let k = full_key key in
   match mem_find t k with
   | Some bytes ->
     Obs.Metrics.Counter.incr c_mem_hits;
-    Some (k, bytes)
+    Some bytes
   | None -> (
-    match path_of t ns key with
+    match path_of t key with
     | None ->
       Obs.Metrics.Counter.incr c_misses;
       None
@@ -399,12 +385,12 @@ let find_raw t ns key =
         | Some payload ->
           Obs.Metrics.Counter.incr c_disk_hits;
           mem_add t k payload;
-          Some (k, payload))))
+          Some payload)))
 
-let add_raw t ns key bytes =
+let add_raw t key bytes =
   observed h_add @@ fun () ->
-  mem_add t (full_key ns key) bytes;
-  match path_of t ns key with
+  mem_add t (full_key key) bytes;
+  match path_of t key with
   | None -> ()
   | Some path ->
     if Sys.file_exists path then
@@ -423,37 +409,27 @@ let add_raw t ns key bytes =
 (* Decode a verified payload; a decode failure (an injected marshal fault,
    or corruption the checksum cannot see such as a stale schema) evicts the
    memory entry, quarantines the disk file, and reads as a miss. *)
-let decode_entry (type a) t ns key (k : string) (bytes : string) :
-    a entry option =
+let decode_entry t key (bytes : string) : entry option =
+  let k = full_key key in
   match
-    Fault.inject Fault.Marshal ~key:(full_key ns key);
-    (Marshal.from_string bytes 0 : a entry)
+    Fault.inject Fault.Marshal ~key:k;
+    (Marshal.from_string bytes 0 : entry)
   with
   | entry -> Some entry
   | exception (Failure _ | Invalid_argument _ | Fault.Injected _) ->
     mem_remove t k;
-    (match path_of t ns key with
+    (match path_of t key with
     | Some path when Sys.file_exists path ->
       quarantine t ~path ~basename:(Filename.basename path) "undecodable entry"
     | _ ->
       Obs.Metrics.Counter.incr c_quarantined;
       record_diag t
         (Fault.Diag.make ~site:"store.marshal" ~pu:"*" ~action:"recomputed"
-           (Printf.sprintf "cache entry %s undecodable; recomputing"
-              (full_key ns key))));
+           (Printf.sprintf "cache entry %s undecodable; recomputing" k)));
     None
 
 (* ------------------------------------------------------------------ *)
-(* Typed views *)
-
-let encode entry_vars (p : 'a) =
-  Marshal.to_string
-    {
-      en_counter = Linear.Var.current ();
-      en_syms = syms_of entry_vars;
-      en_value = p;
-    }
-    []
+(* Typed view *)
 
 let add_collect t ~key (p : collect_payload) =
   let vars =
@@ -463,48 +439,27 @@ let add_collect t ~key (p : collect_payload) =
          p.cp_accesses)
       p.cp_sites
   in
-  add_raw t "c" key (encode vars p)
+  add_raw t key
+    (Marshal.to_string
+       {
+         en_counter = Linear.Var.current ();
+         en_syms = syms_of vars;
+         en_value = p;
+       }
+       [])
 
 let find_collect t ~m ~key : collect_payload option =
-  match find_raw t "c" key with
+  match Option.bind (find_raw t key) (decode_entry t key) with
   | None -> None
-  | Some (k, bytes) -> (
-    match (decode_entry t "c" key k bytes : collect_payload entry option) with
-    | None -> None
-    | Some entry ->
-      Linear.Var.advance_past entry.en_counter;
-      let f = remap_fn m entry.en_syms in
-      let p = entry.en_value in
-      Some
-        {
-          cp_accesses = List.map (map_access f) p.cp_accesses;
-          cp_sites = List.map (map_site f) p.cp_sites;
-        })
-
-let add_summary t ~key (p : summary_payload) =
-  let vars =
-    add_summary_vars p.sp_summary
-      (List.fold_left
-         (fun a x -> add_access x a)
-         Linear.Var.Set.empty p.sp_propagated)
-  in
-  add_raw t "s" key (encode vars p)
-
-let find_summary t ~m ~key : summary_payload option =
-  match find_raw t "s" key with
-  | None -> None
-  | Some (k, bytes) -> (
-    match (decode_entry t "s" key k bytes : summary_payload entry option) with
-    | None -> None
-    | Some entry ->
-      Linear.Var.advance_past entry.en_counter;
-      let f = remap_fn m entry.en_syms in
-      let p = entry.en_value in
-      Some
-        {
-          sp_summary = map_summary f p.sp_summary;
-          sp_propagated = List.map (map_access f) p.sp_propagated;
-        })
+  | Some entry ->
+    Linear.Var.advance_past entry.en_counter;
+    let f = remap_fn m entry.en_syms in
+    let p = entry.en_value in
+    Some
+      {
+        cp_accesses = List.map (map_access f) p.cp_accesses;
+        cp_sites = List.map (map_site f) p.cp_sites;
+      }
 
 let entry_count t =
   Mutex.lock t.mutex;

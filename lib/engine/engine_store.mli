@@ -1,10 +1,12 @@
-(** Content-addressed store for per-PU analysis artifacts.
+(** Content-addressed store for per-PU collection results.
 
-    Maps engine-computed digests (of serialized WHIRL content, see
-    [Engine]) to collection results and interprocedural summaries.  Entries
-    live in memory and, when the store was created with [~dir], also on
-    disk — so repeated tool invocations over unchanged sources only
-    re-analyze what changed.
+    Maps engine-computed digests (of the global symbol table plus one PU's
+    serialized WHIRL body, see [Engine]) to that PU's collection result —
+    the expensive gather phase of the analysis.  Summaries are not stored:
+    the engine recomputes them from cached or fresh collection results,
+    which costs less than decoding them.  Entries live in memory and, when
+    the store was created with [~dir], also on disk — so repeated tool
+    invocations over unchanged sources only re-collect what changed.
 
     Loaded values are re-interned: symbolic variables inside cached regions
     are resolved through the current process's [Ipa.Collect.sym_var]
@@ -26,17 +28,11 @@ type collect_payload = {
   cp_sites : Ipa.Collect.site list;
 }
 
-type summary_payload = {
-  sp_summary : Ipa.Summary.t;
-  sp_propagated : Ipa.Collect.access list;
-      (** accesses charged to callers via call sites ([ac_via] set) *)
-}
-
 type t
 
 val create : ?dir:string -> unit -> t
 (** With [~dir], entries are persisted under
-    [dir/<schema>/{c,s}-<digest>.bin]; the schema component fingerprints the
+    [dir/<schema>/c-<digest>.bin]; the schema component fingerprints the
     running executable, because Marshal images are only readable by the
     build that wrote them.  The directories are created as needed. *)
 
@@ -58,11 +54,6 @@ val find_collect :
     backoff ([store.retries]); exhaustion degrades a read to a miss
     ([store.read_errors]) and a write to a memory-only entry
     ([store.write_errors]), never an exception. *)
-
-val add_summary : t -> key:Digest.t -> summary_payload -> unit
-
-val find_summary :
-  t -> m:Whirl.Ir.module_ -> key:Digest.t -> summary_payload option
 
 val entry_count : t -> int
 (** Number of entries currently held in memory (loaded or added). *)

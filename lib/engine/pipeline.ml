@@ -476,7 +476,7 @@ let config_digest (cfg : config) =
 (* The schema_version 1 ledger record, as a single JSONL line.  Everything
    a later run (or dragon history/regress/explain) needs to compare itself
    against this one: identity (config/corpus digests), cost (wall, phases,
-   metrics), cache effectiveness per phase, solver work, analysis verdict
+   metrics), collect cache effectiveness, solver work, analysis verdict
    tallies, and the per-PU content keys that explain invalidations. *)
 let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
     ~stats ~reports ~diag_count ~trace_path ~metrics_path ~outputs =
@@ -513,7 +513,7 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
   | None -> ());
   bpf "\"outputs\":";
   strings outputs;
-  (* engine statistics: phases, per-phase cache effectiveness, solver *)
+  (* engine statistics: phases, collect cache effectiveness, solver *)
   (match stats with
   | None -> bpf ",\"analyzed\":false"
   | Some (s : Engine.Stats.t) ->
@@ -526,9 +526,8 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
           (Obs.Json.escape p.Engine.Stats.ph_name)
           p.Engine.Stats.ph_wall p.Engine.Stats.ph_alloc)
       s.Engine.Stats.s_phases;
-    bpf "],\"cache\":{\"collect_hits\":%d,\"collect_misses\":%d,\"summary_hits\":%d,\"summary_misses\":%d}"
-      s.Engine.Stats.s_collect_hits s.Engine.Stats.s_collect_misses
-      s.Engine.Stats.s_summary_hits s.Engine.Stats.s_summary_misses;
+    bpf "],\"cache\":{\"collect_hits\":%d,\"collect_misses\":%d}"
+      s.Engine.Stats.s_collect_hits s.Engine.Stats.s_collect_misses;
     bpf ",\"solver\":{";
     List.iteri
       (fun i (k, v) ->
@@ -584,11 +583,10 @@ let ledger_record ~(cfg : config) ~run_id ~code ~wall_s ~corpus_digest ~pus
     (fun i (p : Engine.pu_entry) ->
       if i > 0 then Buffer.add_char b ',';
       bpf
-        "{\"name\":\"%s\",\"file\":\"%s\",\"key1\":\"%s\",\"key2\":\"%s\",\"collect_hit\":%b,\"summary_hit\":%b,\"callees\":"
+        "{\"name\":\"%s\",\"file\":\"%s\",\"key1\":\"%s\",\"collect_hit\":%b,\"callees\":"
         (Obs.Json.escape p.Engine.p_name)
         (Obs.Json.escape p.Engine.p_file)
-        p.Engine.p_key1 p.Engine.p_key2 p.Engine.p_collect_hit
-        p.Engine.p_summary_hit;
+        p.Engine.p_key1 p.Engine.p_collect_hit;
       strings p.Engine.p_callees;
       Buffer.add_char b '}')
     pus;

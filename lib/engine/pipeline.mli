@@ -72,7 +72,7 @@ type config = {
           no cache directory to write into); [Some false] disables it.
           When active, every run appends one schema-versioned JSONL record
           to [<cache_dir>/ledger/] — config/corpus digests, wall and phase
-          timings, the metrics snapshot, per-phase cache hit/miss counts,
+          timings, the metrics snapshot, collect cache hit/miss counts,
           solver counters, analysis verdict tallies, and per-PU content
           keys — consumed by [dragon history]/[regress]/[explain].  The
           [trace]/[metrics] output paths are then suffixed with the run id

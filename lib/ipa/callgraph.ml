@@ -21,8 +21,8 @@ type t = {
 
 (* Tarjan SCC; result in reverse topological order (callees first).  Note
    the recursion follows every callee name, so procedures that are called
-   but never defined get their own singleton components too — downstream
-   consumers (the engine's Merkle keys, the level schedule) rely on that. *)
+   but never defined get their own singleton components too — the level
+   schedule relies on that (the engine skips those components). *)
 let compute_sccs order callees_of =
   let index = Hashtbl.create 16 in
   let lowlink = Hashtbl.create 16 in

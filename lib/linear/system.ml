@@ -183,8 +183,8 @@ let use_cache = Atomic.make true
    running an eliminator: [true] unless the box alone refutes the system.
    That direction is conservative everywhere feasibility is consumed
    (implies/disjoint degrade to "cannot prove", so regions only grow).
-   Degraded answers are never memoized, so turning the budget off restores
-   exact answers immediately. *)
+   Degraded answers are never memoized, nor is an [implies] answer built on
+   one, so turning the budget off restores exact answers immediately. *)
 let step_budget = Atomic.make (-1)
 
 let set_reference_mode b = Atomic.set use_reference b
@@ -200,6 +200,11 @@ let over_budget t =
   b >= 0 && query_cost t > b
 
 let c_degraded = Obs.Metrics.counter "solver.degraded"
+
+(* degraded [feasible] answers given on this domain so far: an [implies]
+   computation compares it before and after to learn whether any of its
+   subqueries degraded *)
+let degraded_here = Domain.DLS.new_key (fun () -> ref 0)
 
 (* Packed rows of a system, [None] when a coefficient does not pack. *)
 let packed_rows t =
@@ -217,10 +222,12 @@ let box_feasible t =
    id), [project_onto] by (system id, sorted kept var ids).  All four obey
    one rule, [memoized]: the first domain to reach a key marks it
    [Pending] and computes; a later arrival waits on the table's condition
-   until the key is [Done], then counts a hit.  A computation that raises
-   removes its key and wakes the waiters, which retry.  So each distinct
-   key is computed, and its work counted, exactly once however the pool
-   schedules queries across domains.
+   until the key is [Done], then counts a hit.  A computation that raises,
+   or whose answer must not be stored (an [implies] resting on a degraded
+   [feasible]), removes its key and wakes the waiters, which retry.  So
+   each distinct storable key is computed, and its work counted, exactly
+   once however the pool schedules queries across domains, and an
+   unstorable one once per query.
 
    Deadlock freedom rests on one invariant: the only nesting is that an
    [implies] computation calls [feasible]; [feasible], [bounds] and
@@ -244,7 +251,8 @@ let bounds_memo : (int * int, Rat.t option * Rat.t option) memo = memo ()
 let proj_memo : (int * int list, t) memo = memo ()
 
 (* The answer for [key]: from the table (running [hit]) when some domain
-   already computed it, else from [compute] on this domain. *)
+   already computed it, else from [compute] on this domain, which returns
+   the answer and whether to store it. *)
 let memoized m key ~hit compute =
   Mutex.lock m.lock;
   let rec await () =
@@ -268,8 +276,8 @@ let memoized m key ~hit compute =
         Mutex.unlock m.lock
       in
       (match compute () with
-      | v ->
-        settle (Some v);
+      | v, store ->
+        settle (if store then Some v else None);
         v
       | exception e ->
         settle None;
@@ -406,6 +414,7 @@ let feasible t =
     let r, tag =
       if degrades then begin
         Obs.Metrics.Counter.incr c_degraded;
+        incr (Domain.DLS.get degraded_here);
         (box_feasible t, `Prefilter)
       end
       else if not (Atomic.get use_cache) then compute_feasible t
@@ -416,7 +425,7 @@ let feasible t =
               Solver_stats.cache_miss ();
               let r, computed = compute_feasible t in
               tag := computed;
-              r)
+              (r, true))
         in
         (r, !tag)
       end
@@ -477,15 +486,12 @@ let implies_uncached t c =
     end
   end
 
-(* The memo only applies when every answer underneath is exact and the run
-   is not deliberately measuring raw paths: degraded answers (budget /
-   fault) must not be frozen, and reference / cache-off modes exist to
-   time the unmemoized paths. *)
+(* The memo is off only while the run deliberately measures raw paths:
+   reference / cache-off modes exist to time the unmemoized paths.  Under a
+   step budget or a fault spec it stays on, and [implies] declines to store
+   only the answers whose [feasible] subqueries degraded. *)
 let implies_memo_ok () =
-  Atomic.get use_cache
-  && (not (Atomic.get use_reference))
-  && Atomic.get step_budget < 0
-  && not (Fault.enabled ())
+  Atomic.get use_cache && not (Atomic.get use_reference)
 
 let implies t c =
   Solver_stats.implies_query ();
@@ -496,7 +502,11 @@ let implies t c =
   in
   let r =
     if implies_memo_ok () then
-      memoized implies_memo (t.id, Constr.id c) ~hit:ignore fresh
+      memoized implies_memo (t.id, Constr.id c) ~hit:ignore (fun () ->
+          let degraded = Domain.DLS.get degraded_here in
+          let before = !degraded in
+          let r = fresh () in
+          (r, !degraded = before))
     else fresh ()
   in
   Solver_stats.add_implies_ns (now_ns () - t0);
@@ -596,7 +606,7 @@ let sample t =
 let bounds v t =
   if Atomic.get use_cache then
     memoized bounds_memo (t.id, Var.id v) ~hit:Solver_stats.ctx_bound_hit
-      (fun () -> bounds_raw v t)
+      (fun () -> (bounds_raw v t, true))
   else bounds_raw v t
 
 let project_onto keep t =
@@ -604,7 +614,7 @@ let project_onto keep t =
     memoized proj_memo
       (t.id, List.map Var.id (Var.Set.elements keep))
       ~hit:Solver_stats.ctx_proj_hit
-      (fun () -> project_onto_raw keep t)
+      (fun () -> (project_onto_raw keep t, true))
   else project_onto_raw keep t
 
 module Reference = struct

@@ -170,10 +170,20 @@ let sparse_distinct_args ~loops e =
     | _ -> None)
   | _ -> None
 
-let of_subscripts ~extents ~loops subscripts =
+let rec of_subscripts ~extents ~loops subscripts =
   let ndims = List.length subscripts in
   if List.length extents <> ndims then
     invalid_arg "Region.of_subscripts: extents length mismatch";
+  try exact_region ~extents ~loops ~ndims subscripts
+  with Rat.Overflow ->
+    (* exact rational elimination overflowed (subscript coefficients near
+       [max_int]): the reference gets the MESSY region of every dimension,
+       clamped into its declared extent and inexact, so it can never prove
+       an access safe *)
+    of_subscripts ~extents ~loops:[]
+      (List.map (fun _ -> Affine.Messy) subscripts)
+
+and exact_region ~extents ~loops ~ndims subscripts =
   let exact = ref true in
   let clamped = ref false in
   let assumed = ref Lang.Iprop.no_flags in

@@ -65,7 +65,10 @@ val of_subscripts :
     injective declaration and an inner subscript covering exactly the box
     ([trip count = hi-lo+1], the pigeonhole argument) the dimension is even
     exact.  Sparse subscripts missing a bound fall back to the MESSY
-    clamp. *)
+    clamp.
+
+    Never raises {!Numeric.Rat.Overflow}: when exact elimination
+    overflows, every dimension takes the MESSY clamp. *)
 
 val make :
   ndims:int -> sys:Linear.System.t -> strides:stride list -> exact:bool -> t

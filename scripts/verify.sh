@@ -73,6 +73,21 @@ dune exec bin/uhc.exe -- --corpus gen --stats-det --jobs 2 \
   >"$out/genstats2.txt"
 cmp "$out/genstats1.txt" "$out/genstats2.txt"
 
+echo "== smoke: warm gen store equals a storeless run =="
+# the store caches collection only: a cold and a warm --cache-dir run must
+# write the bytes of a run with no store, and the warm run must serve every
+# collection from the store
+dune exec bin/uhc.exe -- --corpus gen -o "$out/gnone" >/dev/null
+dune exec bin/uhc.exe -- --corpus gen --cache-dir "$out/gstore" \
+  -o "$out/gcold" >/dev/null
+dune exec bin/uhc.exe -- --corpus gen --cache-dir "$out/gstore" \
+  -o "$out/gwarm" --stats-det >"$out/gwarm.txt"
+for f in project.rgn project.dgn project.cfg; do
+  cmp "$out/gnone/$f" "$out/gcold/$f"
+  cmp "$out/gnone/$f" "$out/gwarm/$f"
+done
+grep -q "cache: collect 2010 hit / 0 miss" "$out/gwarm.txt"
+
 echo "== solver suite, 5 runs (memo contention and key release) =="
 # a scheduling-dependent counter or a waiter left on an unreleased memo
 # key shows up in some runs only
@@ -114,7 +129,7 @@ dune exec bin/uhc.exe -- --corpus lu --analyses bounds \
 cmp "$out/lrun1/project.rgn" "$out/lrun2/project.rgn"
 dune exec bench/main.exe -- check-json "$out/lcache"/ledger/*.jsonl
 dune exec bin/dragon.exe -- history --cache-dir "$out/lcache" \
-  wall_s cache.summary_hits | grep -q "^cache.summary_hits"
+  wall_s cache.collect_hits | grep -q "^cache.collect_hits"
 dune exec bin/dragon.exe -- explain --cache-dir "$out/lcache" applu.f \
   | grep -q "served from cache"
 dune exec bin/dragon.exe -- regress --cache-dir "$out/lcache"

@@ -66,6 +66,32 @@ let test_bounds_three_valued () =
         Alcotest.(check string) "entirely-OOB loop" "unsafe" (verdict row))
     r.Analyses.Report.r_rows
 
+(* a subscript with coefficients near max_int/3 overflows exact rational
+   elimination: the analysis must still finish (no --keep-going), with the
+   access clamped to its extent and never proven safe *)
+let overflow_src =
+  "      program big\n\
+  \      integer a(1:100)\n\
+  \      integer i, j\n\
+  \      do i = 1, 10\n\
+  \        do j = 1, 10\n\
+  \          a(3074457345618258602*i - 3074457345618258602*j + 1) = i\n\
+  \        end do\n\
+  \      end do\n\
+  \      end\n"
+
+let test_bounds_overflow () =
+  let r = bounds_report overflow_src in
+  Alcotest.(check int) "accesses" 1 (summary_int r "accesses");
+  Alcotest.(check int) "safe" 0 (summary_int r "safe");
+  List.iter
+    (fun row ->
+      Alcotest.(check string) "overflowing access" "maybe" (verdict row);
+      Alcotest.(check (list string))
+        "clamped to the extent, unknown stride" [ "1"; "100"; "*" ]
+        [ List.nth row 6; List.nth row 7; List.nth row 8 ])
+    r.Analyses.Report.r_rows
+
 (* permissions report columns: Proc Array Kind Permission LB UB Stride Exact
    Count *)
 let test_permissions_fig1 () =
@@ -318,6 +344,8 @@ let suite =
     Alcotest.test_case "bounds: fig1 all safe" `Quick test_bounds_fig1;
     Alcotest.test_case "bounds: three-valued verdicts" `Quick
       test_bounds_three_valued;
+    Alcotest.test_case "bounds: overflowing subscript reads maybe" `Quick
+      test_bounds_overflow;
     Alcotest.test_case "permissions: fig1 preconditions" `Quick
       test_permissions_fig1;
     Alcotest.test_case "registry: names and selection" `Quick test_registry;

@@ -210,17 +210,17 @@ let test_quarantine_then_heal () =
       (Test_engine.lower files)
   in
   let baseline = Test_engine.render (run ()).Engine.e_result in
-  (* corrupt one summary entry in place *)
+  (* corrupt one collect entry in place *)
   let victim =
     match
       List.find_opt
         (fun p ->
           let b = Filename.basename p in
-          String.length b > 2 && String.sub b 0 2 = "s-")
+          String.length b > 2 && String.sub b 0 2 = "c-")
         (files_under dir)
     with
     | Some p -> p
-    | None -> Alcotest.fail "no summary entry on disk"
+    | None -> Alcotest.fail "no collect entry on disk"
   in
   let oc = open_out_bin victim in
   output_string oc "garbage, not a marshal image";
@@ -237,7 +237,7 @@ let test_quarantine_then_heal () =
   let warm = run () in
   Alcotest.(check int) "healed store is fully warm"
     warm.Engine.e_stats.Engine.Stats.s_pus
-    warm.Engine.e_stats.Engine.Stats.s_summary_hits;
+    warm.Engine.e_stats.Engine.Stats.s_collect_hits;
   Test_engine.check_same_output "warm healed run" baseline
     (Test_engine.render warm.Engine.e_result)
 

@@ -1,7 +1,8 @@
 (* The engine's contract: parallel and cached runs are byte-identical to the
-   serial reference path, warm caches hit for every PU, and invalidation
-   follows the call graph — a change re-analyzes exactly the changed PU
-   (collection) and its transitive callers (summaries). *)
+   serial reference path, warm caches hit for every PU, an edit re-collects
+   exactly the changed PU, and the store holds collection results only —
+   summaries are recomputed every run, so the callers of an edited PU see
+   its new summary. *)
 
 let corpus_files = function
   | "lu" -> Corpus.Nas_lu.files ()
@@ -67,7 +68,6 @@ let test_disk_cache_full_hits () =
   in
   let st = cold.Engine.e_stats in
   Alcotest.(check int) "cold collect hits" 0 st.Engine.Stats.s_collect_hits;
-  Alcotest.(check int) "cold summary hits" 0 st.Engine.Stats.s_summary_hits;
   (* a fresh store over the same directory simulates a second tool
      invocation: everything must come back from disk *)
   let warm =
@@ -80,8 +80,9 @@ let test_disk_cache_full_hits () =
   Alcotest.(check bool) "has PUs" true (n > 0);
   Alcotest.(check int) "warm collect hits" n wt.Engine.Stats.s_collect_hits;
   Alcotest.(check int) "warm collect misses" 0 wt.Engine.Stats.s_collect_misses;
-  Alcotest.(check int) "warm summary hits" n wt.Engine.Stats.s_summary_hits;
-  Alcotest.(check int) "warm summary misses" 0 wt.Engine.Stats.s_summary_misses;
+  (* summaries are never cached: the fields read as all misses *)
+  Alcotest.(check int) "warm summary hits" 0 wt.Engine.Stats.s_summary_hits;
+  Alcotest.(check int) "warm summary misses" n wt.Engine.Stats.s_summary_misses;
   check_same_output "disk warm" (render cold.Engine.e_result)
     (render warm.Engine.e_result)
 
@@ -126,34 +127,26 @@ let run_chain store src =
   Engine.run (Engine.config ~jobs:2 ~store ()) (lower [ src ])
 
 let test_invalidation_callers_only () =
-  (* edit g: g recollects; g, f, main re-summarize; h stays cached *)
-  let store = Engine_store.in_memory () in
-  let _ = run_chain store (chain_src ~g_bound:10 ~f_bound:20) in
-  let r2 = run_chain store (chain_src ~g_bound:30 ~f_bound:20) in
-  let st = r2.Engine.e_stats in
-  Alcotest.(check int) "PUs" 4 st.Engine.Stats.s_pus;
-  Alcotest.(check int) "edit g: collect misses" 1
-    st.Engine.Stats.s_collect_misses;
-  Alcotest.(check int) "edit g: summary misses" 3
-    st.Engine.Stats.s_summary_misses;
-  Alcotest.(check int) "edit g: summary hits" 1
-    st.Engine.Stats.s_summary_hits;
-  (* the incremental result equals a from-scratch analysis *)
-  let fresh =
-    Engine.analyze (lower [ chain_src ~g_bound:30 ~f_bound:20 ])
-  in
-  check_same_output "edit g" (render fresh) (render r2.Engine.e_result);
-  (* edit f: f recollects; f, main re-summarize; g and h stay cached *)
-  let store = Engine_store.in_memory () in
-  let _ = run_chain store (chain_src ~g_bound:10 ~f_bound:20) in
-  let r3 = run_chain store (chain_src ~g_bound:10 ~f_bound:40) in
-  let st = r3.Engine.e_stats in
-  Alcotest.(check int) "edit f: collect misses" 1
-    st.Engine.Stats.s_collect_misses;
-  Alcotest.(check int) "edit f: summary misses" 2
-    st.Engine.Stats.s_summary_misses;
-  Alcotest.(check int) "edit f: summary hits" 2
-    st.Engine.Stats.s_summary_hits
+  (* edit g (a leaf) or f (in the middle of the chain): only the edited PU
+     re-collects, and recomputing every summary from the cached collection
+     results carries the edit up to its transitive callers *)
+  List.iter
+    (fun (what, g_bound, f_bound) ->
+      let store = Engine_store.in_memory () in
+      let _ = run_chain store (chain_src ~g_bound:10 ~f_bound:20) in
+      let r = run_chain store (chain_src ~g_bound ~f_bound) in
+      let st = r.Engine.e_stats in
+      Alcotest.(check int) (what ^ ": PUs") 4 st.Engine.Stats.s_pus;
+      Alcotest.(check int) (what ^ ": 1 collect miss") 1
+        st.Engine.Stats.s_collect_misses;
+      Alcotest.(check int) (what ^ ": 3 collect hits") 3
+        st.Engine.Stats.s_collect_hits;
+      (* the incremental result equals a from-scratch analysis *)
+      let fresh = Engine.analyze (lower [ chain_src ~g_bound ~f_bound ]) in
+      check_same_output
+        (what ^ " equals a fresh analysis")
+        (render fresh) (render r.Engine.e_result))
+    [ ("edit g", 30, 20); ("edit f", 10, 40) ]
 
 let test_unchanged_rerun_all_hits () =
   let store = Engine_store.in_memory () in
@@ -162,7 +155,34 @@ let test_unchanged_rerun_all_hits () =
   let r = run_chain store src in
   let st = r.Engine.e_stats in
   Alcotest.(check int) "collect misses" 0 st.Engine.Stats.s_collect_misses;
-  Alcotest.(check int) "summary misses" 0 st.Engine.Stats.s_summary_misses
+  Alcotest.(check int) "collect hits" 4 st.Engine.Stats.s_collect_hits
+
+(* a filled on-disk store holds one collect entry per PU and nothing else *)
+let test_store_collect_only () =
+  let files = corpus_files "fig1" in
+  let dir = fresh_dir () in
+  let r =
+    Engine.run
+      (Engine.config ~store:(Engine_store.create ~dir ()) ())
+      (lower files)
+  in
+  let entries =
+    Array.to_list (Sys.readdir dir)
+    |> List.concat_map (fun schema ->
+           Array.to_list (Sys.readdir (Filename.concat dir schema)))
+  in
+  Alcotest.(check int)
+    "one entry per PU" r.Engine.e_stats.Engine.Stats.s_pus
+    (List.length entries);
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (e ^ " is a c-*.bin collect entry")
+        true
+        (String.length e > 6
+        && String.sub e 0 2 = "c-"
+        && Filename.check_suffix e ".bin"))
+    entries
 
 let suite =
   [
@@ -174,4 +194,6 @@ let suite =
       test_invalidation_callers_only;
     Alcotest.test_case "unchanged rerun: all hits" `Quick
       test_unchanged_rerun_all_hits;
+    Alcotest.test_case "disk store holds collect entries only" `Quick
+      test_store_collect_only;
   ]

@@ -6,6 +6,7 @@
    nothing at all. *)
 
 let mget name = Obs.Metrics.Counter.get (Obs.Metrics.counter name)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let with_specs raw f =
   match Fault.parse_specs raw with
@@ -288,6 +289,47 @@ let test_solver_budget () =
   in
   Test_engine.check_same_output "budget resets cleanly" exact again
 
+(* Under a step budget the implies memo stays on: it declines to store
+   only the answers resting on a degraded feasible query.  So repeated
+   entailments hit the memo, and the deterministic stats, the diagnostics
+   and the outputs stay identical at any --jobs setting. *)
+let test_budget_keeps_implies_memo () =
+  let dir = Filename.temp_file "budget" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let run jobs =
+    Linear.System.clear_cache ();
+    let out = Filename.concat dir (Printf.sprintf "o%d" jobs) in
+    let diagnostics = Filename.concat dir (Printf.sprintf "d%d.json" jobs) in
+    let r =
+      Pipeline.run
+        (Pipeline.make ~corpus:"lu" ~out_dir:out ~jobs ~solver_budget:20
+           ~analyses:[ "bounds" ] ~diagnostics ())
+    in
+    Alcotest.(check int) (Printf.sprintf "jobs %d exits 0" jobs) 0
+      r.Pipeline.r_code;
+    let st =
+      match r.Pipeline.r_stats with
+      | Some st -> st
+      | None -> Alcotest.fail "no engine stats"
+    in
+    ( st,
+      Format.asprintf "%a" Engine.Stats.pp_deterministic st,
+      read_file diagnostics,
+      List.map
+        (fun f -> read_file (Filename.concat out ("project" ^ f)))
+        [ ".rgn"; ".dgn"; ".cfg" ] )
+  in
+  let st1, det1, diags1, out1 = run 1 in
+  let _, det4, diags4, out4 = run 4 in
+  Linear.System.clear_cache ();
+  Alcotest.(check bool)
+    "implies memo hits under the budget" true
+    (st1.Engine.Stats.s_solver.Linear.Solver_stats.implies_memo_hits > 0);
+  Alcotest.(check string) "stats-det jobs-invariant" det1 det4;
+  Alcotest.(check string) "diagnostics jobs-invariant" diags1 diags4;
+  Alcotest.(check (list string)) "outputs jobs-invariant" out1 out4
+
 let suite =
   [
     Alcotest.test_case "spec grammar" `Quick test_spec_parsing;
@@ -305,4 +347,6 @@ let suite =
       `Slow test_zero_rate_identity;
     Alcotest.test_case "solver budget degrades and resets" `Slow
       test_solver_budget;
+    Alcotest.test_case "solver budget keeps the implies memo" `Slow
+      test_budget_keeps_implies_memo;
   ]

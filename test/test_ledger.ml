@@ -2,9 +2,9 @@
    parses and carries the cache/verdict/per-PU sections; turning the
    ledger on or off changes no output byte at any --jobs setting; the
    regress gate's pass/breach logic (including the same-config baseline
-   filter); explain pinning a re-analysis on the edited callee via the
-   recorded Merkle keys; and records in the older shape (topology block,
-   solver-core field) staying readable by every consumer. *)
+   filter); explain pinning a re-collection on the edited callee via the
+   recorded key1; and records in older shapes (topology block, solver-core
+   field, summary keys) staying readable by every consumer. *)
 
 let temp_dir () =
   let d = Filename.temp_file "ledger" "" in
@@ -66,10 +66,14 @@ let test_record_written () =
           check_metric "bounds verdicts recorded" r "verdicts.bounds.safe" 8.)
         [ r1; r2 ];
       (* cold cache, then all hits: the incrementality story in numbers *)
-      check_metric "first run misses" r1 "cache.summary_misses" 2.;
-      check_metric "first run no hits" r1 "cache.summary_hits" 0.;
-      check_metric "second run hits" r2 "cache.summary_hits" 2.;
-      check_metric "second run no misses" r2 "cache.summary_misses" 0.;
+      check_metric "first run misses" r1 "cache.collect_misses" 2.;
+      check_metric "first run no hits" r1 "cache.collect_hits" 0.;
+      check_metric "second run hits" r2 "cache.collect_hits" 2.;
+      check_metric "second run no misses" r2 "cache.collect_misses" 0.;
+      (* the summary tier is gone from the record *)
+      Alcotest.(check bool)
+        "no summary counters" true
+        (metric r2 "cache.summary_hits" = None);
       (* identical inputs: identical config digests and content keys *)
       let digest r =
         Option.bind
@@ -81,7 +85,7 @@ let test_record_written () =
         List.map
           (fun p ->
             Dragon.Ledgerview.
-              (p.pu_name, p.pu_key1, p.pu_key2, p.pu_callees))
+              (p.pu_name, p.pu_key1, p.pu_callees))
           (Dragon.Ledgerview.pus_of r)
       in
       Alcotest.(check bool) "two PU entries" true (List.length (keys r1) = 2);
@@ -190,7 +194,7 @@ let test_regress_gate () =
     [ "no-equals"; "=5"; "path=" ]
 
 (* ------------------------------------------------------------------ *)
-(* explain: editing one callee names that callee, via the Merkle keys *)
+(* explain: editing one callee names that callee by its key1 change *)
 
 let caller_f =
   "      program driver\n\
@@ -227,24 +231,26 @@ let test_explain_names_callee () =
   match Dragon.Ledgerview.load ~cache_dir:cache with
   | Error e -> Alcotest.fail e
   | Ok runs ->
-    (* the caller's own body is untouched: key1 stable, key2 moved, and
-       the culprit callee is named with its key2 transition *)
+    (* the caller's own body is untouched: its collection came from the
+       cache, and the record no longer speaks of summary keys *)
     (match Dragon.Ledgerview.explain ~target:"driver" runs with
     | Error e -> Alcotest.fail e
     | Ok s ->
       Alcotest.(check bool)
-        "caller blames a callee" true
-        (contains s "a callee changed");
-      Alcotest.(check bool)
-        "the edited callee is named" true
-        (contains s "changed callee: work"));
-    (* the callee itself: its own content changed *)
+        "caller served from cache" true
+        (contains s "served from cache");
+      Alcotest.(check bool) "no key2 branch" false (contains s "key2"));
+    (* the callee itself: its own content changed, and the caller whose
+       summary follows it is in its blast radius *)
     (match Dragon.Ledgerview.explain ~target:"work.f" runs with
     | Error e -> Alcotest.fail e
     | Ok s ->
       Alcotest.(check bool)
         "callee blames its own edit" true
-        (contains s "its own content changed"));
+        (contains s "its own content changed — key1");
+      Alcotest.(check bool)
+        "callee edit reaches the caller" true
+        (contains s "blast radius: 1 transitive caller(s): driver"));
     (* an unknown target errors and lists what is recorded *)
     match Dragon.Ledgerview.explain ~target:"nosuch" runs with
     | Ok _ -> Alcotest.fail "unknown target accepted"
@@ -252,7 +258,8 @@ let test_explain_names_callee () =
 
 (* ------------------------------------------------------------------ *)
 (* Records written before the topology block, the solver-core config
-   field and the learned-core solver counters were dropped stay readable *)
+   field, the learned-core solver counters and the summary tier were
+   dropped stay readable *)
 
 let old_run_id = "18df376558cd2600-001784-0000"
 
@@ -328,6 +335,45 @@ let counters_record =
       {|"summary_hit":false,"callees":["p1","p2"]}]}|};
     ]
 
+let parent_run_id = "18df80e455d8fb00-018486-0000"
+
+(* a fig1 run as written while the store still cached summaries: the
+   cache section counts summary hits and misses, and every PU entry
+   carries its Merkle summary key and summary-hit flag (metrics registry
+   and most solver counters trimmed) *)
+let parent_record =
+  String.concat ""
+    [
+      {|{"schema_version":1,"run_id":"|}; parent_run_id;
+      {|","ts":1792292894.918,"project":"project","corpus":"fig1","jobs":1,|};
+      {|"analyses":["bounds"],"config_digest":"15e95d7247f66feebf2a836dd4a50c2f",|};
+      {|"corpus_digest":"2b912f95b5ab92082e1c0718c0c12b7f","exit_code":0,|};
+      {|"wall_s":0.019946,"outputs":["o/project.rgn","o/project.dgn",|};
+      {|"o/project.cfg"],"analyzed":true,"pus_analyzed":4,"phases":[|};
+      {|{"name":"prepare","wall_s":6.5e-05,"alloc_bytes":1412},|};
+      {|{"name":"digest","wall_s":9.6e-05,"alloc_bytes":70929},|};
+      {|{"name":"collect","wall_s":0.000677,"alloc_bytes":18488},|};
+      {|{"name":"summarize","wall_s":0.000432,"alloc_bytes":6243},|};
+      {|{"name":"assemble","wall_s":5.6e-05,"alloc_bytes":1858}],|};
+      {|"cache":{"collect_hits":0,"collect_misses":4,"summary_hits":0,|};
+      {|"summary_misses":4},"solver":{"queries":0,"implies_queries":0,|};
+      {|"implies_memo_hits":0,"ctx_bound_hits":18,"ctx_proj_hits":0},|};
+      {|"verdicts":{"bounds":{"accesses":6,"safe":6,"unsafe":0,"maybe":0}},|};
+      {|"diagnostics":0,"metrics":[],"pus":[|};
+      {|{"name":"fig1","file":"fig1.f","key1":"bc5bbb4b42c34f9c26d0193925e5da32",|};
+      {|"key2":"bf143ebfd6811dd58355e9839c6a199e","collect_hit":false,|};
+      {|"summary_hit":false,"callees":["add"]},|};
+      {|{"name":"add","file":"fig1.f","key1":"5873cc3317902505ea881de9a41203cb",|};
+      {|"key2":"4104da9461443709ed079ac0fac2055b","collect_hit":false,|};
+      {|"summary_hit":false,"callees":["p1","p2"]},|};
+      {|{"name":"p1","file":"fig1.f","key1":"aeb936415e29c1844ef845aea9472999",|};
+      {|"key2":"b194b6e2c05a69dde3fd366da5c4d1aa","collect_hit":false,|};
+      {|"summary_hit":false,"callees":[]},|};
+      {|{"name":"p2","file":"fig1.f","key1":"35b1fd95a24ff0cb3b84b6bb6d9a4e1c",|};
+      {|"key2":"c5c2038ad10dd997c37e8ce41e11c6d3","collect_hit":false,|};
+      {|"summary_hit":false,"callees":[]}]}|};
+    ]
+
 (* sibling build outputs of this test binary *)
 let exe dir name =
   Filename.concat
@@ -381,7 +427,11 @@ let test_old_record_accepted () =
       expect_ok "dragon explain"
         (Printf.sprintf "%s explain --cache-dir %s add" dragon (q cache))
         ("vs previous " ^ run_id))
-    [ (old_run_id, old_record); (counters_run_id, counters_record) ]
+    [
+      (old_run_id, old_record);
+      (counters_run_id, counters_record);
+      (parent_run_id, parent_record);
+    ]
 
 let suite =
   [
